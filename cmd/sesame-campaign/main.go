@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,6 +28,7 @@ import (
 	"sesame/internal/chaos"
 	"sesame/internal/linksim"
 	"sesame/internal/simclock"
+	"sesame/internal/strictjson"
 )
 
 // options carries every flag; parseArgs fills it so tests can drive
@@ -123,9 +123,7 @@ func loadSpec(opts options) (campaign.Spec, error) {
 	if err != nil {
 		return spec, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := strictjson.Decode(data, &spec); err != nil {
 		return spec, fmt.Errorf("%s: %w", opts.spec, err)
 	}
 	return spec, nil

@@ -138,36 +138,16 @@ func defaultGCSOptions() gcsOptions {
 // newGCS builds the seeded demo mission: u1..uN sweeping a 400 m
 // square with ten survivors, fully instrumented.
 func newGCS(o gcsOptions) (*gcs, error) {
-	home := sesame.LatLng{Lat: 35.1856, Lng: 33.3823}
-	world := sesame.NewWorld(home, o.seed)
-	for i := 1; i <= o.uavs; i++ {
-		id := fmt.Sprintf("u%d", i)
-		if _, err := world.AddUAV(sesame.UAVConfig{ID: id, Home: home, CruiseSpeedMS: 12}); err != nil {
-			return nil, err
-		}
-	}
-	a := sesame.Destination(home, 45, 80)
-	b := sesame.Destination(a, 90, 400)
-	c := sesame.Destination(b, 0, 400)
-	d := sesame.Destination(a, 0, 400)
-	area := sesame.Polygon{a, b, c, d}
-	scene, err := sesame.NewRandomScene(area, 10, 0.2, world, "scene")
-	if err != nil {
-		return nil, err
-	}
 	reg := sesame.NewObsvRegistry()
 	reg.SetTrace(sesame.NewObsvTraceRing(4096))
 	cfg := sesame.DefaultPlatformConfig()
 	cfg.Observability = reg
 	cfg.Cells = o.cells
-	p, err := sesame.NewPlatform(world, scene, cfg)
+	l, err := sesame.MissionRecipe{Seed: o.seed, UAVs: o.uavs, Persons: 10, AreaSideM: 400}.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, err
-	}
+	world, p := l.World, l.Platform
 	if o.spoofAt > 0 {
 		if err := world.ScheduleFault(sesame.GPSSpoofFault(world.Clock.Now()+o.spoofAt, "u2", 135, 3)); err != nil {
 			p.Close()

@@ -201,18 +201,26 @@ func TestServeMultiKillRestartRoundTrip(t *testing.T) {
 			t.Fatalf("POST mission m%d -> %d", i, resp.StatusCode)
 		}
 	}
+	// Wait until every mission has ticked: one created after a round
+	// has started may still be at tick 0 when m1 first advances.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/missions/m1")
+		resp, err := http.Get("http://" + addr + "/missions")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var info sesame.MissionInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		var list []sesame.MissionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if info.Tick > 0 {
+		advanced := 0
+		for _, info := range list {
+			if info.Tick > 0 {
+				advanced++
+			}
+		}
+		if advanced == 3 {
 			break
 		}
 		if time.Now().After(deadline) {

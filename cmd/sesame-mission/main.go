@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -127,17 +128,20 @@ func run(opts options, out io.Writer) error {
 	if opts.replay != "" {
 		return replayDump(opts.replay, out)
 	}
-	if opts.scenario != "" {
-		return runScenario(opts, out)
-	}
-
-	world, p, chaosLayer, err := buildMission(opts)
+	recipe, l, err := launch(opts)
 	if err != nil {
 		return err
 	}
+	p, world := l.Platform, l.World
 	defer p.Close()
-	if chaosLayer != nil {
-		fmt.Fprintf(out, "chaos armed from %s (plan seed %d)\n", opts.chaosPath, chaosLayer.Plan().Seed)
+	chaosFrom := opts.chaosPath
+	if sc := recipe.Scenario; sc != nil {
+		fmt.Fprintf(out, "scenario %s: %d UAVs, %d site(s), horizon %.0f s\n",
+			sc.Name, len(sc.Fleet), len(sc.Sites), sc.HorizonS)
+		chaosFrom = "scenario"
+	}
+	if l.Chaos != nil {
+		fmt.Fprintf(out, "chaos armed from %s (plan seed %d)\n", chaosFrom, l.Chaos.Plan().Seed)
 	}
 
 	if opts.debugAddr != "" {
@@ -149,9 +153,13 @@ func run(opts options, out io.Writer) error {
 		fmt.Fprintf(out, "debug endpoints on http://%s/metrics and /debug/pprof/\n", ln.Addr())
 	}
 
-	// The mission end is fixed before any restore so a resumed run
-	// stops at exactly the tick the uninterrupted run would have.
-	end := world.Clock.Now() + opts.horizon
+	// Faults count from the end of the climb-out and are scheduled
+	// before any restore, which drops the ones the recording already
+	// injected; their banner prints after the black-box lines.
+	var scheduled bytes.Buffer
+	if err := scheduleFaults(opts, world, &scheduled); err != nil {
+		return err
+	}
 
 	if opts.resume != "" {
 		tick, err := resumeFromBlackBox(opts, p)
@@ -163,8 +171,8 @@ func run(opts options, out io.Writer) error {
 
 	if opts.record != "" {
 		recOpts := sesame.FlightRecorderOptions{}
-		if chaosLayer != nil {
-			recOpts = chaosLayer.RecorderOptions(recOpts)
+		if l.Chaos != nil {
+			recOpts = l.Chaos.RecorderOptions(recOpts)
 		}
 		rec, err := sesame.NewFlightRecorder(opts.record, opts.seed, p.ConfigDigest(),
 			opts.snapshotEvery, recOpts)
@@ -177,12 +185,12 @@ func run(opts options, out io.Writer) error {
 			opts.record, opts.snapshotEvery)
 	}
 
-	if err := scheduleFaults(opts, world, out); err != nil {
-		return err
-	}
+	_, _ = scheduled.WriteTo(out)
 
+	// l.End was fixed at build, before any restore, so a resumed run
+	// stops at exactly the tick the uninterrupted run would have.
 	nextStatus := world.Clock.Now()
-	for world.Clock.Now() < end {
+	for world.Clock.Now() < l.End {
 		if err := p.Tick(); err != nil {
 			return err
 		}
@@ -198,8 +206,8 @@ func run(opts options, out io.Writer) error {
 	if av, err := p.Availability(); err == nil {
 		fmt.Fprintf(out, "\nfleet availability: %.1f%%   mission decision: %s\n", av*100, p.Decision())
 	}
-	if chaosLayer != nil {
-		st := chaosLayer.Stats()
+	if l.Chaos != nil {
+		st := l.Chaos.Stats()
 		fmt.Fprintf(out, "chaos injections: %d total (%d monitor panics, %d monitor errors, %d latency spikes, %d bus, %d broker, %d db, %d recorder)\n",
 			st.Total(), st.MonitorPanics, st.MonitorErrors, st.MonitorLatency,
 			st.BusFailures, st.BrokerFailures, st.DBFailures, st.RecorderFaults)
@@ -207,31 +215,16 @@ func run(opts options, out io.Writer) error {
 	return nil
 }
 
-// loadScenario resolves the -scenario value: an existing file is
-// strict-parsed, anything else must name a generator archetype (seeded
-// by -seed). A scenario file's own seed always wins over -seed.
-func loadScenario(opts options) (*sesame.Scenario, error) {
-	if data, err := os.ReadFile(opts.scenario); err == nil {
-		return sesame.LoadScenario(data)
-	}
-	for _, arch := range sesame.ScenarioArchetypes() {
-		if arch == opts.scenario {
-			return sesame.GenerateScenario(opts.seed, arch)
-		}
-	}
-	return nil, fmt.Errorf("-scenario %q: not a readable file and not an archetype (known: %v)",
-		opts.scenario, sesame.ScenarioArchetypes())
-}
-
-// runScenario flies a declarative scenario end to end: the scenario
-// supplies world, fleet, faults, links and horizon; the flags only
-// choose the platform regime (-sesame, -cells) and reporting.
-func runScenario(opts options, out io.Writer) error {
-	sc, err := loadScenario(opts)
+// launch builds and starts the mission the flags describe. Building is
+// a pure function of the options, which is what makes black-box resume
+// possible. A -chaos plan is part of the recipe: its injections are a
+// pure function of (plan seed, sim time), so rebuilding with the same
+// plan reproduces them.
+func launch(opts options) (sesame.MissionRecipe, *sesame.MissionLaunch, error) {
+	recipe, err := missionRecipe(opts)
 	if err != nil {
-		return err
+		return recipe, nil, err
 	}
-
 	cfg := sesame.DefaultPlatformConfig()
 	cfg.SESAME = opts.sesameOn
 	cfg.Cells = opts.cells
@@ -240,136 +233,48 @@ func runScenario(opts options, out io.Writer) error {
 		reg.SetTrace(sesame.NewObsvTraceRing(4096))
 		cfg.Observability = reg
 	}
-	run, err := sesame.LaunchScenario(sc, cfg)
-	if err != nil {
-		return err
-	}
-	p, world := run.Platform, run.World
-	defer p.Close()
-	fmt.Fprintf(out, "scenario %s: %d UAVs, %d site(s), horizon %.0f s\n",
-		sc.Name, len(sc.Fleet), len(sc.Sites), sc.HorizonS)
-	if run.Chaos != nil {
-		fmt.Fprintf(out, "chaos armed from scenario (plan seed %d)\n", run.Chaos.Plan().Seed)
-	}
-
-	if opts.debugAddr != "" {
-		ln, err := startDebug(opts.debugAddr, p.Observability())
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		fmt.Fprintf(out, "debug endpoints on http://%s/metrics and /debug/pprof/\n", ln.Addr())
-	}
-
-	end := world.Clock.Now() + sc.HorizonS
-	nextStatus := world.Clock.Now()
-	for world.Clock.Now() < end {
-		if err := p.Tick(); err != nil {
-			return err
-		}
-		if world.Clock.Now() >= nextStatus {
-			printStatus(out, p.Status(), opts.asJSON)
-			nextStatus += opts.every
-		}
-		if done(p) {
-			break
-		}
-	}
-	printStatus(out, p.Status(), opts.asJSON)
-	if av, err := p.Availability(); err == nil {
-		fmt.Fprintf(out, "\nfleet availability: %.1f%%   mission decision: %s\n", av*100, p.Decision())
-	}
-	if run.Chaos != nil {
-		st := run.Chaos.Stats()
-		fmt.Fprintf(out, "chaos injections: %d total (%d monitor panics, %d monitor errors, %d latency spikes, %d bus, %d broker, %d db, %d recorder)\n",
-			st.Total(), st.MonitorPanics, st.MonitorErrors, st.MonitorLatency,
-			st.BusFailures, st.BrokerFailures, st.DBFailures, st.RecorderFaults)
-	}
-	return nil
+	l, err := recipe.Build(cfg)
+	return recipe, l, err
 }
 
-// buildMission constructs the standard scenario — world, fleet, scene,
-// platform, mission start — exactly the same way every run of a given
-// option set does, which is what makes black-box resume possible. A
-// -chaos plan is part of the scenario: its injections are a pure
-// function of (plan seed, sim time), so rebuilding with the same plan
-// reproduces them.
-func buildMission(opts options) (*sesame.World, *sesame.Platform, *sesame.ChaosLayer, error) {
-	home := sesame.LatLng{Lat: 35.1856, Lng: 33.3823}
-	world := sesame.NewWorld(home, opts.seed)
-	// IDs u1..uN keep the default fleet (and the fault targets u1/u2)
-	// identical to every run before the -uavs flag existed.
-	for i := 1; i <= opts.uavs; i++ {
-		id := fmt.Sprintf("u%d", i)
-		if _, err := world.AddUAV(sesame.UAVConfig{ID: id, Home: home, CruiseSpeedMS: 12}); err != nil {
-			return nil, nil, nil, err
+// missionRecipe turns the flags into the mission to fly: a -scenario
+// file or generator archetype (seeded by -seed; a file's own seed
+// wins), or the classic mission with its optional -chaos plan.
+func missionRecipe(opts options) (sesame.MissionRecipe, error) {
+	if opts.scenario != "" {
+		if data, err := os.ReadFile(opts.scenario); err == nil {
+			sc, err := sesame.LoadScenario(data)
+			return sesame.MissionRecipe{Scenario: sc}, err
 		}
-	}
-	area := missionArea(home)
-
-	var scene *sesame.Scene
-	if opts.persons > 0 {
-		var err error
-		scene, err = sesame.NewRandomScene(area, opts.persons, 0.2, world, "scene")
-		if err != nil {
-			return nil, nil, nil, err
+		for _, arch := range sesame.ScenarioArchetypes() {
+			if arch == opts.scenario {
+				sc, err := sesame.GenerateScenario(opts.seed, arch)
+				return sesame.MissionRecipe{Scenario: sc}, err
+			}
 		}
+		return sesame.MissionRecipe{}, fmt.Errorf("-scenario %q: not a readable file and not an archetype (known: %v)",
+			opts.scenario, sesame.ScenarioArchetypes())
 	}
-
-	var chaosLayer *sesame.ChaosLayer
+	r := sesame.MissionRecipe{Seed: opts.seed, UAVs: opts.uavs, Persons: opts.persons,
+		AreaSideM: 400, HorizonS: opts.horizon}
 	if opts.chaosPath != "" {
 		data, err := os.ReadFile(opts.chaosPath)
 		if err != nil {
-			return nil, nil, nil, err
+			return r, err
 		}
 		plan, err := sesame.LoadChaosPlan(data)
 		if err != nil {
-			return nil, nil, nil, err
+			return r, err
 		}
-		if chaosLayer, err = sesame.NewChaosLayer(world, plan); err != nil {
-			return nil, nil, nil, err
-		}
+		r.Chaos = &plan
 	}
-
-	cfg := sesame.DefaultPlatformConfig()
-	cfg.SESAME = opts.sesameOn
-	cfg.Cells = opts.cells
-	if chaosLayer != nil {
-		if mb := chaosLayer.MonitorBuilder(); mb != nil {
-			cfg.ExtraMonitors = append(cfg.ExtraMonitors, mb)
-		}
-	}
-	if opts.debugAddr != "" {
-		reg := sesame.NewObsvRegistry()
-		reg.SetTrace(sesame.NewObsvTraceRing(4096))
-		cfg.Observability = reg
-	}
-	p, err := sesame.NewPlatform(world, scene, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if chaosLayer != nil {
-		sesame.ArmChaos(chaosLayer, world, p)
-	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, nil, nil, err
-	}
-	return world, p, chaosLayer, nil
+	return r, nil
 }
 
-// missionArea is the 400 m survey square north-east of home.
-func missionArea(home sesame.LatLng) sesame.Polygon {
-	a := sesame.Destination(home, 45, 80)
-	b := sesame.Destination(a, 90, 400)
-	c := sesame.Destination(b, 0, 400)
-	d := sesame.Destination(a, 0, 400)
-	return sesame.Polygon{a, b, c, d}
-}
-
-// scheduleFaults injects the flag-selected fault scenarios. Resumed
-// runs re-schedule them identically; injections already applied before
-// the checkpoint are dropped by the restore.
+// scheduleFaults injects the flag-selected fault scenarios, timed from
+// the end of the climb-out. Resumed runs schedule them identically;
+// injections already applied before the checkpoint are dropped by the
+// restore.
 func scheduleFaults(opts options, world *sesame.World, out io.Writer) error {
 	if opts.batteryFault > 0 {
 		at := world.Clock.Now() + opts.batteryFault

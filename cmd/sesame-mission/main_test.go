@@ -331,3 +331,34 @@ func TestChaosMissionRejectsBadPlan(t *testing.T) {
 		t.Error("missing plan file silently accepted")
 	}
 }
+
+// TestResumeBeforeFault resumes a recording from a checkpoint taken
+// before the -battery-fault time. The fault must still fire when the
+// uninterrupted run fired it, not that long after the checkpoint.
+func TestResumeBeforeFault(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "box")
+	base := options{
+		sesameOn: true, seed: 3, uavs: 3, batteryFault: 60,
+		persons: 5, horizon: 400, every: 1e9, asJSON: true,
+		snapshotEvery: 10,
+	}
+	recOpts := base
+	recOpts.record = dir
+	var recorded bytes.Buffer
+	if err := run(recOpts, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	resOpts := base
+	resOpts.resume = dir
+	resOpts.resumeTick = 20
+	var resumed bytes.Buffer
+	if err := run(resOpts, &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resumed.String(), "resumed from") || !strings.Contains(resumed.String(), "at tick 20 ") {
+		t.Fatalf("resume banner missing or wrong tick:\n%s", resumed.String())
+	}
+	if got, want := finalStatusJSON(t, resumed.String()), finalStatusJSON(t, recorded.String()); got != want {
+		t.Errorf("resumed mission diverges:\n got %s\nwant %s", got, want)
+	}
+}

@@ -111,7 +111,7 @@ type item struct {
 // cannot sink a million-run sweep. Journaled failed rows are replayed
 // as-is on resume — they are never retried again, which is what keeps
 // kill/resume byte-identical.
-func (e *Engine) runWithRetry(run Run, sc *scratch) (Result, error) {
+func (e *Engine) runWithRetry(run Run) (Result, error) {
 	attempts := 0
 	var lastErr error
 	for attempts <= e.opts.RunRetries {
@@ -122,7 +122,7 @@ func (e *Engine) runWithRetry(run Run, sc *scratch) (Result, error) {
 		}
 		var res Result
 		if err == nil {
-			res, err = executeRun(&e.spec, run, sc)
+			res, err = executeRun(&e.spec, run)
 		}
 		if err == nil {
 			if attempts > 1 {
@@ -216,15 +216,14 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 		errOnce.Do(func() { firstErr = err; cancel() })
 	}
 
-	// Workers: each owns a scratch reused across its runs.
+	// Workers: each flies runs off the jobs queue until it closes.
 	var workWG sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
 		workWG.Add(1)
 		go func() {
 			defer workWG.Done()
-			sc := newScratch()
 			for run := range jobs {
-				res, err := e.runWithRetry(run, sc)
+				res, err := e.runWithRetry(run)
 				if err != nil {
 					fail(fmt.Errorf("run %s: %w", run.Key(), err))
 					return

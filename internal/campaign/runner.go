@@ -7,16 +7,11 @@ package campaign
 // run re-executes bit-identically for triage (RerunOne).
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 
-	"sesame/internal/detection"
 	"sesame/internal/eddi"
-	"sesame/internal/geo"
-	"sesame/internal/linksim"
 	"sesame/internal/platform"
 	"sesame/internal/scenario"
 	"sesame/internal/uavsim"
@@ -76,52 +71,15 @@ type Result struct {
 // Failed reports whether the run was quarantined rather than executed.
 func (r Result) Failed() bool { return r.Status == "failed" }
 
-// scratch is per-worker reusable state: everything a run needs that
-// does not depend on the seed. Reusing it amortizes per-run setup
-// across the thousands of runs a worker executes.
-type scratch struct {
-	ids   map[int][]string        // fleet size -> cached u1..uN
-	areas map[float64]geo.Polygon // area side -> cached survey square
-	blob  []byte                  // digest serialization buffer
-}
-
-func newScratch() *scratch {
-	return &scratch{ids: map[int][]string{}, areas: map[float64]geo.Polygon{}}
-}
-
-// fleetIDs returns the cached u1..uN slice for a fleet size.
-func (sc *scratch) fleetIDs(n int) []string {
-	if ids, ok := sc.ids[n]; ok {
-		return ids
-	}
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("u%d", i+1)
-	}
-	sc.ids[n] = ids
-	return ids
-}
-
-// area returns the cached survey square of the given side, anchored
-// like every experiment's mission area.
-func (sc *scratch) area(side float64) geo.Polygon {
-	if a, ok := sc.areas[side]; ok {
-		return a
-	}
-	p := geo.Destination(defaultOrigin, 45, 80)
-	b := geo.Destination(p, 90, side)
-	c := geo.Destination(b, 0, side)
-	d := geo.Destination(p, 0, side)
-	area := geo.Polygon{p, b, c, d}
-	sc.areas[side] = area
-	return area
-}
-
 // executeRun flies one grid point to its horizon and reduces it to a
 // Result. The platform is forced onto the serial scheduler path
 // (Workers=1): campaign parallelism is run-level, and the scheduler is
-// bit-identical across pool sizes anyway.
-func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
+// bit-identical across pool sizes anyway. A classic run flies
+// spec.HorizonS from launch, climb-out included, and injects its fault
+// variant counted from launch; a scenarios-axis run takes world, fleet,
+// links, timeline and horizon from the generated archetype, so the
+// (seed, archetype, fleet, cells) tuple fully determines it.
+func executeRun(spec *Spec, run Run) (Result, error) {
 	res := Result{
 		Index: run.Index, Key: run.Key(), Seed: run.Seed,
 		Fleet: run.Fleet, Cells: run.Cells,
@@ -129,56 +87,34 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 		Scenario:      run.Scenario,
 		SafetyDetectS: -1, SecurityDetectS: -1,
 	}
+	recipe := platform.Recipe{
+		Seed: run.Seed, UAVs: run.Fleet, Persons: spec.Persons,
+		AreaSideM: spec.AreaSideM, HorizonS: spec.HorizonS,
+		Link: &platform.LinkPlan{
+			Name: run.Link.Name, Profile: run.Link.Profile, OutageUAV: run.Link.OutageUAV,
+			OutageStartS: run.Link.OutageStartS, OutageDurS: run.Link.OutageDurS,
+		},
+	}
 	if run.Scenario != "" {
-		return executeScenarioRun(spec, run, sc, res)
-	}
-
-	w := uavsim.NewWorld(defaultOrigin, run.Seed)
-	ids := sc.fleetIDs(run.Fleet)
-	for _, id := range ids {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: defaultOrigin, CruiseSpeedMS: 12}); err != nil {
-			return res, err
-		}
-	}
-	area := sc.area(spec.AreaSideM)
-
-	var scene *detection.Scene
-	if spec.Persons > 0 {
-		var err error
-		scene, err = detection.NewRandomScene(area, spec.Persons, 0.2, w.Clock.Stream("scene"))
+		gen, err := scenario.GenerateN(run.Seed, run.Scenario, run.Fleet)
 		if err != nil {
 			return res, err
 		}
+		recipe = platform.Recipe{Scenario: gen}
 	}
-
 	cfg := platform.DefaultConfig()
 	cfg.Workers = 1
 	cfg.Cells = run.Cells
-	p, err := platform.New(w, scene, cfg)
+	l, err := recipe.Build(cfg)
 	if err != nil {
 		return res, err
 	}
+	p, w := l.Platform, l.World
 	defer p.Close()
 
-	layer := linksim.New(w.Clock, run.Link.Name)
-	layer.AttachBus(w.Bus)
-	layer.AttachBroker(p.Broker, func(topic string) string {
-		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-			return uav
-		}
-		return ""
-	})
-	for _, id := range ids {
-		layer.Link(id).SetProfile(run.Link.Profile)
-	}
-
-	start := w.Clock.Now()
-	if err := p.StartMission(area); err != nil {
-		return res, err
-	}
-	if run.Link.OutageDurS > 0 {
-		from := start + run.Link.OutageStartS
-		layer.Link(run.Link.OutageUAV).AddOutage(from, from+run.Link.OutageDurS)
+	start, end := l.Start, l.Start+spec.HorizonS
+	if run.Scenario != "" {
+		start, end = w.Clock.Now(), l.End
 	}
 	if run.Fault.BatteryAtS > 0 {
 		at := start + run.Fault.BatteryAtS
@@ -192,99 +128,33 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 			return res, err
 		}
 	}
-
-	end := start + spec.HorizonS
-	for w.Clock.Now() < end {
-		if err := p.Tick(); err != nil {
-			return res, err
-		}
-		if p.MissionComplete() {
-			res.Completed = true
-			break
-		}
+	if err := p.RunMission(end - w.Clock.Now()); err != nil {
+		return res, err
 	}
+	res.Completed = p.MissionComplete()
 	res.CompletionS = w.Clock.Now() - start
 	res.Ticks = p.Ticks()
 	res.Decision = p.Decision().String()
 	if res.Availability, err = p.Availability(); err != nil {
 		return res, err
 	}
-	// The platform's availability mean is summed in map-iteration order,
-	// so re-executions can differ in the last ULP. Record it at the same
-	// 12-decimal precision the mission digest hashes, keeping journal and
-	// output bytes reproducible across kill/resume.
+	// Record availability at the 12-decimal precision the mission
+	// digest hashes, keeping journal and output bytes stable.
 	res.Availability = math.Round(res.Availability*1e12) / 1e12
 
 	status := p.Status()
 	res.Drops = status.Drops.Total()
 	res.WorldDrops = status.WorldDrops.TelemetryPublish
 	res.DBRetries = status.DBRetries.Scheduled
-	for _, s := range layer.Stats() {
-		res.LinkOffered += s.Offered
-		res.LinkDelivered += s.Delivered
-		res.LinkDropped += s.Dropped
-	}
-
-	history := p.Coordinator.History("")
-	res.scanHistory(history, run, start)
-	res.Digest = missionDigest(sc, status, p.Decision().String(), history, res.Availability)
-	return res, nil
-}
-
-// executeScenarioRun flies one scenarios-axis grid point: the world,
-// fleet, link profiles and fault timeline all come from the generated
-// archetype — the (seed, archetype, fleet, cells) tuple fully
-// determines the run, so the bit-reproducibility contract is the same
-// as the classic path's.
-func executeScenarioRun(spec *Spec, run Run, sc *scratch, res Result) (Result, error) {
-	gen, err := scenario.GenerateN(run.Seed, run.Scenario, run.Fleet)
-	if err != nil {
-		return res, err
-	}
-	cfg := platform.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Cells = run.Cells
-	sr, err := platform.LaunchScenario(gen, cfg)
-	if err != nil {
-		return res, err
-	}
-	defer sr.Platform.Close()
-	p, w := sr.Platform, sr.World
-
-	start := w.Clock.Now()
-	end := start + gen.HorizonS
-	for w.Clock.Now() < end {
-		if err := p.Tick(); err != nil {
-			return res, err
-		}
-		if p.MissionComplete() {
-			res.Completed = true
-			break
-		}
-	}
-	res.CompletionS = w.Clock.Now() - start
-	res.Ticks = p.Ticks()
-	res.Decision = p.Decision().String()
-	if res.Availability, err = p.Availability(); err != nil {
-		return res, err
-	}
-	res.Availability = math.Round(res.Availability*1e12) / 1e12
-
-	status := p.Status()
-	res.Drops = status.Drops.Total()
-	res.WorldDrops = status.WorldDrops.TelemetryPublish
-	res.DBRetries = status.DBRetries.Scheduled
-	if sr.Links != nil {
-		for _, s := range sr.Links.Stats() {
+	if l.Links != nil {
+		for _, s := range l.Links.Stats() {
 			res.LinkOffered += s.Offered
 			res.LinkDelivered += s.Delivered
 			res.LinkDropped += s.Dropped
 		}
 	}
-
-	history := p.Coordinator.History("")
-	res.scanHistory(history, run, start)
-	res.Digest = missionDigest(sc, status, p.Decision().String(), history, res.Availability)
+	res.scanHistory(p.Coordinator.History(""), run, start)
+	res.Digest = platform.Digest(p)
 	return res, nil
 }
 
@@ -311,25 +181,6 @@ func (res *Result) scanHistory(history []eddi.Event, run Run, start float64) {
 	}
 }
 
-// missionDigest fingerprints the run's externally observable final
-// state — fleet status, mission decision, full EDDI history and the
-// availability number — reusing the worker's serialization buffer.
-func missionDigest(sc *scratch, status platform.Status, decision string, history []eddi.Event, avail float64) string {
-	blob := struct {
-		Status   platform.Status
-		Decision string
-		History  []eddi.Event
-	}{status, decision, history}
-	data, err := json.Marshal(blob)
-	if err != nil {
-		// Status and events are plain data; Marshal cannot fail.
-		panic(err)
-	}
-	sc.blob = append(sc.blob[:0], data...)
-	sc.blob = append(sc.blob, fmt.Sprintf("avail=%.12f", avail)...)
-	return fmt.Sprintf("%x", sha256.Sum256(sc.blob))
-}
-
 // RerunOne re-executes a single grid point standalone from its (seed,
 // params) tuple — the triage path: any journaled run can be reproduced
 // bit-identically without the rest of the sweep.
@@ -342,5 +193,5 @@ func RerunOne(spec Spec, index int) (Result, error) {
 	if index < 0 || index >= len(runs) {
 		return Result{}, fmt.Errorf("campaign: run index %d outside [0,%d)", index, len(runs))
 	}
-	return executeRun(&spec, runs[index], newScratch())
+	return executeRun(&spec, runs[index])
 }

@@ -16,8 +16,6 @@
 package chaos
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,6 +27,7 @@ import (
 	"sesame/internal/mqttlite"
 	"sesame/internal/rosbus"
 	"sesame/internal/simclock"
+	"sesame/internal/strictjson"
 )
 
 // Window bounds a fault rule in simulation time. ToS == 0 leaves the
@@ -145,14 +144,8 @@ type Plan struct {
 // fault schedule must fail loudly, not silently disarm the fault.
 func LoadPlan(data []byte) (Plan, error) {
 	var p Plan
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	if err := strictjson.Decode(data, &p); err != nil {
 		return Plan{}, fmt.Errorf("chaos: parsing plan: %w", err)
-	}
-	// Trailing garbage after the JSON document is an error too.
-	if dec.More() {
-		return Plan{}, fmt.Errorf("chaos: parsing plan: trailing data after plan object")
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"sesame/internal/chaos"
-	"sesame/internal/detection"
 	"sesame/internal/platform"
-	"sesame/internal/uavsim"
 )
 
 // ChaosResult is the chaos-harness demonstration: the same eventful
@@ -63,20 +61,16 @@ func RunChaos(seed int64) (*ChaosResult, error) {
 	res := &ChaosResult{Seed: seed, Horizon: horizon}
 
 	fly := func(plan *chaos.Plan) (string, *platform.Platform, *chaos.Layer, error) {
-		p, layer, err := buildChaosScenario(seed, plan)
+		l, err := buildEventfulMission(seed, plan)
 		if err != nil {
 			return "", nil, nil, err
 		}
+		p, layer := l.Platform, l.Chaos
 		if err := flyUntil(p, p.World.Clock.Now()+horizon); err != nil {
 			p.Close()
 			return "", nil, nil, err
 		}
-		digest, err := missionDigest(p)
-		if err != nil {
-			p.Close()
-			return "", nil, nil, err
-		}
-		return digest, p, layer, nil
+		return platform.Digest(p), p, layer, nil
 	}
 
 	digest, p, _, err := fly(nil)
@@ -121,56 +115,6 @@ func RunChaos(seed int64) (*ChaosResult, error) {
 	res.Transparent = res.InertDigest == res.BaselineDigest
 	res.Reproducible = res.ChaosDigestA == res.ChaosDigestB
 	return res, nil
-}
-
-// buildChaosScenario rebuilds the flightrec experiment's eventful
-// mission (three UAVs, eight persons, battery collapse, GPS spoofing)
-// with an optional chaos plan armed on top.
-func buildChaosScenario(seed int64, plan *chaos.Plan) (*platform.Platform, *chaos.Layer, error) {
-	w := uavsim.NewWorld(testOrigin, seed)
-	for _, id := range []string{"u1", "u2", "u3"} {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: testOrigin, CruiseSpeedMS: 12}); err != nil {
-			return nil, nil, err
-		}
-	}
-	area := squareArea(350)
-	scene, err := detection.NewRandomScene(area, 8, 0.2, w.Clock.Stream("scene"))
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := platform.DefaultConfig()
-	var layer *chaos.Layer
-	if plan != nil {
-		if layer, err = chaos.New(w.Clock, *plan); err != nil {
-			return nil, nil, err
-		}
-		if mb := layer.MonitorBuilder(); mb != nil {
-			cfg.ExtraMonitors = append(cfg.ExtraMonitors, mb)
-		}
-	}
-	p, err := platform.New(w, scene, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if layer != nil {
-		layer.AttachBus(w.Bus)
-		layer.AttachBroker(p.Broker)
-		if hook := layer.DBHook(platform.ErrUnavailable); hook != nil {
-			p.DB.SetFaultHook(hook)
-		}
-	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, nil, err
-	}
-	now := w.Clock.Now()
-	if err := w.ScheduleFault(uavsim.GPSSpoofFault(now+30, "u2", 135, 3)); err != nil {
-		return nil, nil, err
-	}
-	if err := w.ScheduleFault(uavsim.BatteryCollapseFault(now+60, "u1", 70, 40)); err != nil {
-		return nil, nil, err
-	}
-	return p, layer, nil
 }
 
 // Print writes the chaos-harness report.

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"io"
 	"strings"
 
@@ -35,7 +32,8 @@ type CommsScenario struct {
 	WorldDrops       uavsim.DropCounters
 	DBRetries        platform.RetryCounters
 	// ReplayIdentical is the determinism check: the scenario is run
-	// twice and the final platform digests must match bit for bit.
+	// twice and the final platform digests and link accounting must
+	// match bit for bit.
 	ReplayIdentical bool
 }
 
@@ -97,46 +95,24 @@ func RunComms(seed int64) (*CommsResult, error) {
 			return nil, err
 		}
 		sc := first.scenario
-		sc.ReplayIdentical = first.digest == replay.digest
+		sc.ReplayIdentical = first.digest == replay.digest && first.scenario.Link == replay.scenario.Link
 		res.Scenarios = append(res.Scenarios, sc)
 	}
 	return res, nil
 }
 
 func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
-	w := uavsim.NewWorld(testOrigin, seed)
-	ids := []string{"u1", "u2", "u3"}
-	for _, id := range ids {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: testOrigin, CruiseSpeedMS: 12}); err != nil {
-			return nil, err
-		}
-	}
-	p, err := platform.New(w, nil, platform.DefaultConfig())
+	const outageUAV = "u2"
+	l, err := platform.Recipe{
+		Seed: seed, UAVs: 3, AreaSideM: 350,
+		Link: &platform.LinkPlan{Name: spec.name, Profile: spec.profile, OutageUAV: outageUAV,
+			OutageStartS: spec.outageStart, OutageDurS: spec.outageDur},
+	}.Build(platform.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
+	p, w, start := l.Platform, l.World, l.Start
 	defer p.Close()
-
-	layer := linksim.New(w.Clock, spec.name)
-	layer.AttachBus(w.Bus)
-	layer.AttachBroker(p.Broker, func(topic string) string {
-		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-			return uav
-		}
-		return ""
-	})
-	for _, id := range ids {
-		layer.Link(id).SetProfile(spec.profile)
-	}
-
-	start := w.Clock.Now()
-	if err := p.StartMission(squareArea(350)); err != nil {
-		return nil, err
-	}
-	const outageUAV = "u2"
-	if spec.outageDur > 0 {
-		layer.Link(outageUAV).AddOutage(start+spec.outageStart, start+spec.outageStart+spec.outageDur)
-	}
 	if spec.dbDur > 0 {
 		from, to := start+spec.dbStart, start+spec.dbStart+spec.dbDur
 		p.DB.SetFaultHook(func(string) error {
@@ -175,7 +151,7 @@ func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
 	sc.Drops = status.Drops
 	sc.WorldDrops = status.WorldDrops
 	sc.DBRetries = status.DBRetries
-	for _, s := range layer.Stats() {
+	for _, s := range l.Links.Stats() {
 		sc.Link.Offered += s.Offered
 		sc.Link.Delivered += s.Delivered
 		sc.Link.Dropped += s.Dropped
@@ -186,31 +162,15 @@ func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
 		sc.Link.Reordered += s.Reordered
 		sc.Link.Pending += s.Pending
 	}
-	hash := sha256.New()
-	enc := json.NewEncoder(hash)
-	if err := enc.Encode(status); err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		for _, ev := range p.Coordinator.History(id) {
-			if strings.HasPrefix(ev.Summary, "lost link:") {
-				sc.LostLinkEvents++
-			}
-			if strings.HasPrefix(ev.Summary, "compromise:") {
-				sc.CompromiseEvents++
-			}
-			if err := enc.Encode(ev); err != nil {
-				return nil, err
-			}
+	for _, ev := range p.Coordinator.History("") {
+		if strings.HasPrefix(ev.Summary, "lost link:") {
+			sc.LostLinkEvents++
+		}
+		if strings.HasPrefix(ev.Summary, "compromise:") {
+			sc.CompromiseEvents++
 		}
 	}
-	if err := enc.Encode(sc.Link); err != nil {
-		return nil, err
-	}
-	return &commsOutcome{
-		scenario: sc,
-		digest:   hex.EncodeToString(hash.Sum(nil)),
-	}, nil
+	return &commsOutcome{scenario: sc, digest: platform.Digest(p)}, nil
 }
 
 // Print writes the mission-outcome and loss-accounting tables.

@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
-	"sesame/internal/detection"
+	"sesame/internal/chaos"
 	"sesame/internal/flightrec"
 	"sesame/internal/platform"
 	"sesame/internal/uavsim"
@@ -50,18 +49,17 @@ func RunFlightRec(seed int64) (*FlightRecResult, error) {
 	res := &FlightRecResult{Seed: seed, Horizon: horizon}
 
 	// Uninterrupted reference flight.
-	p, err := buildFlightRecScenario(seed)
+	l, err := buildEventfulMission(seed, nil)
 	if err != nil {
 		return nil, err
 	}
+	p := l.Platform
 	end := p.World.Clock.Now() + horizon
 	if err := flyUntil(p, end); err != nil {
 		return nil, err
 	}
 	res.FinalTick = p.Ticks()
-	if res.DigestUninterrupted, err = missionDigest(p); err != nil {
-		return nil, err
-	}
+	res.DigestUninterrupted = platform.Digest(p)
 	p.Close()
 
 	// Recorded flight: black box on, checkpoint every 50 ticks.
@@ -70,10 +68,10 @@ func RunFlightRec(seed int64) (*FlightRecResult, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	p, err = buildFlightRecScenario(seed)
-	if err != nil {
+	if l, err = buildEventfulMission(seed, nil); err != nil {
 		return nil, err
 	}
+	p = l.Platform
 	rec, err := flightrec.NewRecorder(dir, seed, p.ConfigDigest(), 50, flightrec.Options{})
 	if err != nil {
 		return nil, err
@@ -85,11 +83,7 @@ func RunFlightRec(seed int64) (*FlightRecResult, error) {
 	if err := rec.Close(); err != nil {
 		return nil, err
 	}
-	recordedDigest, err := missionDigest(p)
-	if err != nil {
-		return nil, err
-	}
-	if recordedDigest != res.DigestUninterrupted {
+	if recordedDigest := platform.Digest(p); recordedDigest != res.DigestUninterrupted {
 		return nil, fmt.Errorf("recording perturbed the mission: %s != %s",
 			recordedDigest, res.DigestUninterrupted)
 	}
@@ -109,10 +103,10 @@ func RunFlightRec(seed int64) (*FlightRecResult, error) {
 	if err := json.Unmarshal(snap.State, &ps); err != nil {
 		return nil, err
 	}
-	p, err = buildFlightRecScenario(seed)
-	if err != nil {
+	if l, err = buildEventfulMission(seed, nil); err != nil {
 		return nil, err
 	}
+	p = l.Platform
 	defer p.Close()
 	if err := p.RestoreCheckpoint(&ps); err != nil {
 		return nil, err
@@ -121,45 +115,32 @@ func RunFlightRec(seed int64) (*FlightRecResult, error) {
 		return nil, err
 	}
 	res.ReplayedTicks = p.Ticks() - res.ResumeTick
-	if res.DigestResumed, err = missionDigest(p); err != nil {
-		return nil, err
-	}
+	res.DigestResumed = platform.Digest(p)
 	res.Match = res.DigestResumed == res.DigestUninterrupted
 	return res, nil
 }
 
-// buildFlightRecScenario rebuilds the eventful demo mission: three
-// UAVs, eight scattered persons, a battery collapse at t=+60 and a GPS
-// spoofing attack at t=+30. Every run — reference, recorded, resumed —
-// starts from this exact construction.
-func buildFlightRecScenario(seed int64) (*platform.Platform, error) {
-	w := uavsim.NewWorld(testOrigin, seed)
-	for _, id := range []string{"u1", "u2", "u3"} {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: testOrigin, CruiseSpeedMS: 12}); err != nil {
+// buildEventfulMission rebuilds the eventful demo mission: three UAVs
+// sweeping a 350 m square with eight scattered persons, a GPS spoofing
+// attack at t=+30 and a battery collapse at t=+60, plus an optional
+// chaos plan armed on top. Every run — reference, recorded, resumed,
+// chaos — starts from this exact construction.
+func buildEventfulMission(seed int64, plan *chaos.Plan) (*platform.Launch, error) {
+	l, err := platform.Recipe{Seed: seed, UAVs: 3, Persons: 8, AreaSideM: 350, Chaos: plan}.Build(platform.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	now := l.World.Clock.Now()
+	for _, f := range []uavsim.Fault{
+		uavsim.GPSSpoofFault(now+30, "u2", 135, 3),
+		uavsim.BatteryCollapseFault(now+60, "u1", 70, 40),
+	} {
+		if err := l.World.ScheduleFault(f); err != nil {
+			l.Platform.Close()
 			return nil, err
 		}
 	}
-	area := squareArea(350)
-	scene, err := detection.NewRandomScene(area, 8, 0.2, w.Clock.Stream("scene"))
-	if err != nil {
-		return nil, err
-	}
-	p, err := platform.New(w, scene, platform.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, err
-	}
-	now := w.Clock.Now()
-	if err := w.ScheduleFault(uavsim.GPSSpoofFault(now+30, "u2", 135, 3)); err != nil {
-		return nil, err
-	}
-	if err := w.ScheduleFault(uavsim.BatteryCollapseFault(now+60, "u1", 70, 40)); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return l, nil
 }
 
 // flyUntil drives the platform to the fixed absolute end time.
@@ -173,25 +154,6 @@ func flyUntil(p *platform.Platform, end float64) error {
 		}
 	}
 	return nil
-}
-
-// missionDigest fingerprints the mission's externally observable final
-// state: fleet status, mission decision, full EDDI event history and
-// the availability number.
-func missionDigest(p *platform.Platform) (string, error) {
-	blob := struct {
-		Status   platform.Status
-		Decision string
-		History  interface{}
-	}{p.Status(), p.Decision().String(), p.Coordinator.History("")}
-	data, err := json.Marshal(blob)
-	if err != nil {
-		return "", err
-	}
-	if a, err := p.Availability(); err == nil {
-		data = append(data, []byte(fmt.Sprintf("avail=%.12f", a))...)
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(data)), nil
 }
 
 // surveyRecording fills the recording-shape fields from the black box.

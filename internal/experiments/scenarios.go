@@ -63,11 +63,7 @@ func RunScenarios(seed int64) (*ScenariosResult, error) {
 				p.Close()
 				return nil, err
 			}
-			digest, err := missionDigest(p)
-			if err != nil {
-				p.Close()
-				return nil, err
-			}
+			digest := platform.Digest(p)
 			if pass == 0 {
 				fl.DigestA = digest
 				fl.ChaosArmed = sr.Chaos != nil

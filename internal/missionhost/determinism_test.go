@@ -1,6 +1,7 @@
 package missionhost
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -87,5 +88,43 @@ func TestMissionHostDeterminism(t *testing.T) {
 				t.Fatalf("evict/rehydrate digest %s != standalone %s", got, want)
 			}
 		})
+	}
+}
+
+// TestParkAtTickZero parks missions before their first tick — Create,
+// Park, Resume, fly — and holds each to its standalone digest. The
+// seeds are ones whose generated timelines schedule a fault inside
+// the climb-out window: a restore at tick 0 must keep those faults,
+// because the first tick, not the climb-out, injects them.
+func TestParkAtTickZero(t *testing.T) {
+	seeds := []int64{57862, 615075, 799361}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		for _, arch := range []string{"maritime_sar", "urban_canyon", "multi_site"} {
+			spec := Spec{ID: "t0", Seed: seed, Archetype: arch, TickBudget: 50}
+			t.Run(fmt.Sprintf("%s-%d", arch, seed), func(t *testing.T) {
+				want := flyStandalone(t, spec)
+				h := newTestHost(t, Config{})
+				if _, err := h.Create(spec); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				if err := h.Park("t0"); err != nil {
+					t.Fatalf("Park: %v", err)
+				}
+				if err := h.Resume("t0"); err != nil {
+					t.Fatalf("Resume: %v", err)
+				}
+				roundsUntilDone(t, h, "t0", 5000)
+				got, err := h.Digest("t0")
+				if err != nil {
+					t.Fatalf("Digest: %v", err)
+				}
+				if got != want {
+					t.Fatalf("park-at-tick-0 digest %s != standalone %s", got, want)
+				}
+			})
+		}
 	}
 }

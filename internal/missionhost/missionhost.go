@@ -311,12 +311,12 @@ func (h *Host) Create(spec Spec) (Info, error) {
 	if len(h.missions) >= h.cfg.MaxMissions {
 		return Info{}, fmt.Errorf("%w: %d missions", ErrRegistryFull, len(h.missions))
 	}
-	b, err := spec.build(h.platformCfg(spec))
+	b, err := spec.build()
 	if err != nil {
 		return Info{}, err
 	}
 	m := &Mission{host: h, id: spec.ID, spec: spec, subs: make(map[*Subscriber]struct{})}
-	m.world, m.p, m.end = b.world, b.p, b.end
+	m.world, m.p, m.end = b.World, b.Platform, b.End
 	m.lastAccess.Store(h.rounds.Load())
 	m.mu.Lock()
 	m.publishLocked()
@@ -336,15 +336,6 @@ func (h *Host) nextIDLocked() string {
 			return id
 		}
 	}
-}
-
-func (h *Host) platformCfg(s Spec) platform.Config {
-	cfg := platform.DefaultConfig()
-	// One worker per mission: parallelism comes from the host pool,
-	// and serial ticks replay pooled ones bit-identically anyway.
-	cfg.Workers = 1
-	cfg.Cells = s.Cells
-	return cfg
 }
 
 // Mission looks an entry up without touching its platform.
@@ -648,40 +639,40 @@ func (m *Mission) rehydrateLocked() (revived bool, err error) {
 	if !m.parked || m.done {
 		return false, nil
 	}
-	b, err := m.spec.build(m.host.platformCfg(m.spec))
+	b, err := m.spec.build()
 	if err != nil {
 		return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
 	}
 	if m.parkMode == parkReplay {
 		// Replay recipe: the determinism contract makes re-ticking the
 		// rebuilt Spec bit-identical to the parked run.
-		for b.p.Ticks() < m.replayTicks && b.world.Clock.Now() < b.end {
-			if err := b.p.Tick(); err != nil {
-				b.p.Close()
+		for b.Platform.Ticks() < m.replayTicks && b.World.Clock.Now() < b.End {
+			if err := b.Platform.Tick(); err != nil {
+				b.Platform.Close()
 				return false, fmt.Errorf("missionhost: rehydrate %s: replay: %w", m.id, err)
 			}
 		}
 	} else {
 		snap, hdr, err := flightrec.LatestSnapshot(filepath.Join(m.parkDir(), "box"), 0)
 		if err != nil {
-			b.p.Close()
+			b.Platform.Close()
 			return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
 		}
-		if hdr.ConfigDigest != b.p.ConfigDigest() {
-			b.p.Close()
+		if hdr.ConfigDigest != b.Platform.ConfigDigest() {
+			b.Platform.Close()
 			return false, fmt.Errorf("missionhost: rehydrate %s: checkpoint is from a different configuration", m.id)
 		}
 		var ps platform.PlatformSnapshot
 		if err := json.Unmarshal(snap.State, &ps); err != nil {
-			b.p.Close()
+			b.Platform.Close()
 			return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
 		}
-		if err := b.p.RestoreCheckpoint(&ps); err != nil {
-			b.p.Close()
+		if err := b.Platform.RestoreCheckpoint(&ps); err != nil {
+			b.Platform.Close()
 			return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
 		}
 	}
-	m.world, m.p, m.end = b.world, b.p, b.end
+	m.world, m.p, m.end = b.World, b.Platform, b.End
 	m.parked = false
 	m.publishLocked()
 	if err := os.RemoveAll(m.parkDir()); err != nil {

@@ -10,19 +10,14 @@
 package missionhost
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
 
-	"sesame/internal/detection"
-	"sesame/internal/eddi"
-	"sesame/internal/geo"
 	"sesame/internal/platform"
 	"sesame/internal/scenario"
-	"sesame/internal/uavsim"
+	"sesame/internal/strictjson"
 )
 
 // Spec declares one hosted mission. Exactly one of three shapes:
@@ -68,9 +63,9 @@ const (
 	defaultSpecHorizonS = 600
 )
 
-// classicHome anchors the classic demo mission — the same Nicosia
-// origin cmd/sesame-gcs has always used.
-var classicHome = geo.LatLng{Lat: 35.1856, Lng: 33.3823}
+// classicAreaSideM is the classic demo mission's survey square, the
+// one cmd/sesame-gcs has always flown.
+const classicAreaSideM = 400
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 
@@ -79,13 +74,8 @@ var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 // is validated.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return s, fmt.Errorf("missionhost: spec: %w", err)
-	}
-	if dec.More() {
-		return s, errors.New("missionhost: spec: trailing data after document")
 	}
 	s.Normalize()
 	return s, s.Validate()
@@ -169,77 +159,25 @@ func (s *Spec) resolveScenario() (*scenario.Scenario, error) {
 	return scenario.Generate(s.Seed, s.Archetype)
 }
 
-// built is one freshly constructed mission: a started platform plus
-// the absolute simulation time the mission flies to. end is a pure
-// function of the Spec, so a rebuilt mission agrees with the
-// original about when the horizon falls.
-type built struct {
-	world *uavsim.World
-	p     *platform.Platform
-	end   float64
-}
-
-// build constructs the mission the Spec declares, mission started and
-// ready to tick.
-func (s *Spec) build(cfg platform.Config) (*built, error) {
+// build constructs the mission the Spec declares, started and ready to
+// tick. Its End is a pure function of the Spec, so a rebuilt mission
+// agrees with the original about when the horizon falls.
+func (s *Spec) build() (*platform.Launch, error) {
+	cfg := platform.DefaultConfig()
+	// One worker per mission: parallelism comes from the host pool,
+	// and serial ticks replay pooled ones bit-identically anyway.
+	cfg.Workers = 1
+	cfg.Cells = s.Cells
+	r := platform.Recipe{Seed: s.Seed, UAVs: s.UAVs, Persons: s.Persons, AreaSideM: classicAreaSideM, HorizonS: s.HorizonS}
 	if s.scenarioMode() {
 		sc, err := s.resolveScenario()
 		if err != nil {
 			return nil, err
 		}
-		run, err := platform.LaunchScenario(sc, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &built{world: run.World, p: run.Platform, end: run.World.Clock.Now() + sc.HorizonS}, nil
+		r = platform.Recipe{Scenario: sc}
 	}
-	w := uavsim.NewWorld(classicHome, s.Seed)
-	for i := 1; i <= s.UAVs; i++ {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: fmt.Sprintf("u%d", i), Home: classicHome, CruiseSpeedMS: 12}); err != nil {
-			return nil, err
-		}
-	}
-	a := geo.Destination(classicHome, 45, 80)
-	b := geo.Destination(a, 90, 400)
-	c := geo.Destination(b, 0, 400)
-	d := geo.Destination(a, 0, 400)
-	area := geo.Polygon{a, b, c, d}
-	var scene *detection.Scene
-	if s.Persons > 0 {
-		var err error
-		scene, err = detection.NewRandomScene(area, s.Persons, 0.2, w.Clock.Stream("scene"))
-		if err != nil {
-			return nil, err
-		}
-	}
-	p, err := platform.New(w, scene, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, err
-	}
-	return &built{world: w, p: p, end: w.Clock.Now() + s.HorizonS}, nil
+	return r.Build(cfg)
 }
 
-// MissionDigest fingerprints a flown mission: status, decision, the
-// full EDDI history and the 12-decimal fleet availability — the same
-// digest idiom the campaign engine and the flightrec experiment gate
-// on. Two runs of the same Spec digest equal iff they are
-// bit-identical.
-func MissionDigest(p *platform.Platform) string {
-	blob := struct {
-		Status   platform.Status
-		Decision string
-		History  []eddi.Event
-	}{p.Status(), p.Decision().String(), p.Coordinator.History("")}
-	data, err := json.Marshal(blob)
-	if err != nil {
-		return "digest-error: " + err.Error()
-	}
-	if avail, err := p.Availability(); err == nil {
-		data = append(data, fmt.Sprintf("avail=%.12f", avail)...)
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(data))
-}
+// MissionDigest is platform.Digest, kept for callers of this package.
+func MissionDigest(p *platform.Platform) string { return platform.Digest(p) }

@@ -1,5 +1,7 @@
 package missionhost
 
+import "sesame/internal/platform"
+
 // FlyStandalone builds a Spec and flies it uninterrupted in a
 // dedicated single-mission loop — exactly what a standalone process
 // would run — and returns the mission digest. It is the reference a
@@ -9,19 +11,13 @@ func FlyStandalone(spec Spec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
-	h := &Host{cfg: Config{}}
-	b, err := spec.build(h.platformCfg(spec))
+	b, err := spec.build()
 	if err != nil {
 		return "", err
 	}
-	defer b.p.Close()
-	for b.world.Clock.Now() < b.end {
-		if err := b.p.Tick(); err != nil {
-			return "", err
-		}
-		if b.p.MissionComplete() {
-			break
-		}
+	defer b.Platform.Close()
+	if err := b.Platform.RunMission(b.End - b.World.Clock.Now()); err != nil {
+		return "", err
 	}
-	return MissionDigest(b.p), nil
+	return platform.Digest(b.Platform), nil
 }

@@ -109,18 +109,18 @@ func TestChaosDeterminism(t *testing.T) {
 
 	serialCfg := DefaultConfig()
 	serialCfg.Workers = 1
-	want := digestPlatform(t, fly(serialCfg, plan))
+	want := Digest(fly(serialCfg, plan))
 
 	pooledCfg := DefaultConfig()
 	pooledCfg.Workers = 8
-	if got := digestPlatform(t, fly(pooledCfg, plan)); got != want {
+	if got := Digest(fly(pooledCfg, plan)); got != want {
 		t.Errorf("pooled chaos run diverges from serial: %s != %s", got, want)
 	}
 
 	shardedCfg := DefaultConfig()
 	shardedCfg.Workers = 4
 	shardedCfg.Cells = 3
-	if got := digestPlatform(t, fly(shardedCfg, plan)); got != want {
+	if got := Digest(fly(shardedCfg, plan)); got != want {
 		t.Errorf("sharded chaos run diverges from serial: %s != %s", got, want)
 	}
 
@@ -146,7 +146,7 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	runUntil(t, resumed, end)
-	if got := digestPlatform(t, resumed); got != want {
+	if got := Digest(resumed); got != want {
 		t.Errorf("resumed chaos run diverges from uninterrupted: %s != %s", got, want)
 	}
 
@@ -154,8 +154,8 @@ func TestChaosDeterminism(t *testing.T) {
 	baseline := buildPlatform(t, serialCfg, seed, 0)
 	startChaosMission(t, baseline)
 	runUntil(t, baseline, baseline.World.Clock.Now()+horizon)
-	base := digestPlatform(t, baseline)
-	if got := digestPlatform(t, fly(serialCfg, chaos.Plan{})); got != base {
+	base := Digest(baseline)
+	if got := Digest(fly(serialCfg, chaos.Plan{})); got != base {
 		t.Errorf("inert chaos layer perturbed the mission: %s != %s", got, base)
 	}
 }

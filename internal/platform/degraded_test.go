@@ -96,7 +96,7 @@ func TestDegradedCommsDeterministicReplay(t *testing.T) {
 				out.watchdogOK = true
 			}
 		}
-		out.digest = digestPlatform(t, p)
+		out.digest = Digest(p)
 		out.finalU2 = p.World.UAVs()[1].Mode()
 		out.linkStats = layer.Stats()
 		out.events = len(p.Coordinator.History(""))
@@ -459,7 +459,7 @@ func TestNoFaultRunsUnchanged(t *testing.T) {
 		if err := p.RunMission(1200); err != nil {
 			t.Fatal(err)
 		}
-		return digestPlatform(t, p)
+		return Digest(p)
 	}
 	if plain, wrapped := run(false), run(true); plain != wrapped {
 		t.Errorf("perfect link layer changed the run: %s vs %s", plain, wrapped)

@@ -21,11 +21,10 @@ type platformMetrics struct {
 	reg *obsv.Registry
 
 	ticks *obsv.Counter
-	// phase latency histograms, resolved from one labeled family.
-	phaseStep    *obsv.Histogram
-	phasePrepare *obsv.Histogram
-	phaseObserve *obsv.Histogram
-	phaseApply   *obsv.Histogram
+	// phases holds the latency histograms of the scheduler phases,
+	// indexed by phaseStep … phaseApply and resolved from one labeled
+	// family.
+	phases [4]*obsv.Histogram
 
 	monitorLatency *obsv.HistogramVec
 	monitorEvals   *obsv.CounterVec
@@ -53,12 +52,14 @@ func newPlatformMetrics(reg *obsv.Registry) *platformMetrics {
 	phases := reg.HistogramVec("sesame_platform_phase_seconds",
 		"Scheduler phase wall-clock latency, by phase.", "phase", obsv.DefLatencyBuckets)
 	return &platformMetrics{
-		reg:          reg,
-		ticks:        reg.Counter("sesame_platform_ticks_total", "Platform ticks executed."),
-		phaseStep:    phases.With("step"),
-		phasePrepare: phases.With("prepare"),
-		phaseObserve: phases.With("observe"),
-		phaseApply:   phases.With("apply"),
+		reg:   reg,
+		ticks: reg.Counter("sesame_platform_ticks_total", "Platform ticks executed."),
+		phases: [4]*obsv.Histogram{
+			phaseStep:    phases.With("step"),
+			phasePrepare: phases.With("prepare"),
+			phaseObserve: phases.With("observe"),
+			phaseApply:   phases.With("apply"),
+		},
 		monitorLatency: reg.HistogramVec("sesame_monitor_observe_seconds",
 			"Per-monitor Observe latency, by monitor.", "monitor", obsv.DefLatencyBuckets),
 		monitorEvals: reg.CounterVec("sesame_monitor_evaluations_total",
@@ -70,6 +71,41 @@ func newPlatformMetrics(reg *obsv.Registry) *platformMetrics {
 		monitorPanics: reg.Counter("sesame_monitor_panics_total",
 			"Monitor chain panics contained by the scheduler."),
 	}
+}
+
+// Scheduler phases, as labeled in sesame_platform_phase_seconds.
+const (
+	phaseStep = iota
+	phasePrepare
+	phaseObserve
+	phaseApply
+)
+
+// phaseTimer times consecutive scheduler phases of one tick. The zero
+// value (observability off) is inert and reads no clock.
+type phaseTimer struct {
+	obs *platformMetrics
+	at  time.Time
+}
+
+// startPhases counts a new tick and starts timing its first phase.
+func (p *Platform) startPhases() phaseTimer {
+	if p.obs == nil {
+		return phaseTimer{}
+	}
+	p.obs.tick.Add(1)
+	p.obs.ticks.Inc()
+	return phaseTimer{obs: p.obs, at: time.Now()}
+}
+
+// lap records the phase that just ended and starts timing the next.
+func (t *phaseTimer) lap(phase int) {
+	if t.obs == nil {
+		return
+	}
+	now := time.Now()
+	t.obs.phases[phase].Observe(now.Sub(t.at).Seconds())
+	t.at = now
 }
 
 // quarantines resolves the breaker-quarantine counter on first use.

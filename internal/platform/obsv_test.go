@@ -1,12 +1,10 @@
 package platform
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -31,30 +29,6 @@ func runScenario(t *testing.T, cfg Config, seed int64, horizon float64) *Platfor
 	return p
 }
 
-// digestWithoutObsv hashes the same blob digestPlatform does, with the
-// Observability field cleared, so instrumented and uninstrumented runs
-// can be compared bit for bit.
-func digestWithoutObsv(t *testing.T, p *Platform) string {
-	t.Helper()
-	status := p.Status()
-	status.Observability = nil
-	blob := struct {
-		Status   Status
-		Decision string
-		History  interface{}
-	}{status, p.Decision().String(), p.Coordinator.History("")}
-	data, err := json.Marshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.avail != nil {
-		if a, err := p.Availability(); err == nil {
-			data = append(data, []byte(fmt.Sprintf("avail=%.12f", a))...)
-		}
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(data))
-}
-
 // TestObservabilityDeterminism is the PR's core contract in test form:
 // instrumentation must not perturb the digested mission outputs.
 //
@@ -66,6 +40,7 @@ func TestObservabilityDeterminism(t *testing.T) {
 	const seed, horizon = 4, 900
 
 	digests := make(map[int]string, 2)
+	counters := make(map[int]map[string]uint64, 2)
 	for _, workers := range []int{1, 8} {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
@@ -75,10 +50,14 @@ func TestObservabilityDeterminism(t *testing.T) {
 		if len(p.Status().Observability) == 0 {
 			t.Fatal("instrumented run produced no observability counters")
 		}
-		digests[workers] = digestPlatform(t, p)
+		digests[workers] = Digest(p)
+		counters[workers] = p.Status().Observability
 	}
 	if digests[1] != digests[8] {
 		t.Errorf("instrumented scheduler diverges: serial %s != pooled %s", digests[1], digests[8])
+	}
+	if !reflect.DeepEqual(counters[1], counters[8]) {
+		t.Errorf("observability counters diverge: serial %v != pooled %v", counters[1], counters[8])
 	}
 
 	cfgOn := DefaultConfig()
@@ -92,7 +71,7 @@ func TestObservabilityDeterminism(t *testing.T) {
 	if off.Status().Observability != nil {
 		t.Error("uninstrumented run must not carry observability counters")
 	}
-	if got, want := digestWithoutObsv(t, on), digestWithoutObsv(t, off); got != want {
+	if got, want := Digest(on), Digest(off); got != want {
 		t.Errorf("instrumentation perturbed the mission: on %s != off %s", got, want)
 	}
 }

@@ -78,9 +78,10 @@ type Config struct {
 	// per cell on the worker pool, with the cross-cell work — lost-link
 	// redistribution, counter merging, the apply phase, the mission
 	// decision — at serial barriers. 0 sizes the layout automatically
-	// (one cell per 64 UAVs, so small fleets keep the legacy pipeline);
-	// 1 forces the legacy unsharded pipeline. Sharded runs are
-	// bit-identical across all cell counts >= 2 and any Workers value.
+	// (one cell per 64 UAVs, so small fleets stay unsharded); 1 forces
+	// the unsharded layout, whose camera captures share one detector
+	// stream. Sharded runs are bit-identical across all cell counts >= 2
+	// and any Workers value.
 	Cells int
 	// ExtraMonitors registers additional eddi.Runtime monitors per UAV,
 	// appended after the built-in chain. Their events are emitted in
@@ -153,7 +154,7 @@ func DefaultConfig() Config {
 }
 
 // AutoCells is the Cells=0 sizing policy: one cell per 64 UAVs. Small
-// fleets resolve to a single cell (the legacy pipeline); a 10k-vehicle
+// fleets resolve to a single cell (unsharded); a 10k-vehicle
 // fleet spreads across ~160 cells, enough to keep every worker busy
 // without barrier overhead dominating.
 func AutoCells(n int) int {
@@ -231,11 +232,10 @@ type uavState struct {
 	// dbRetries is this UAV's pending database retry queue. Only the
 	// observe-phase worker that owns the UAV touches it, so no lock.
 	dbRetries []dbRetry
-	// drops and retries are where this UAV's concurrent-phase failures
-	// are tallied: the platform totals when unsharded, the owning cell's
-	// shard-local counters when sharded (drained into the totals at the
-	// tick barrier). Serial-phase call sites keep using the platform
-	// totals directly.
+	// drops and retries are where this UAV's prepare/observe failures
+	// are tallied: the owning cell's shard-local counters, drained into
+	// the platform totals at the tick barrier. Apply-phase call sites
+	// use the platform totals directly.
 	drops   *dropCounters
 	retries *retryCounters
 	// detRNG is the vehicle's split detector stream in sharded mode;
@@ -305,8 +305,8 @@ type Platform struct {
 	dispatched map[string]int // task path length already uploaded
 	// workers is the resolved observe-phase pool bound.
 	workers int
-	// cells is the resolved shard layout over p.order; length 1 selects
-	// the legacy unsharded pipeline.
+	// cells is the resolved shard layout over p.order; length 1 is the
+	// unsharded layout (serial prepare on the shared detector stream).
 	cells []cell
 	// snapBuf, obsBuf and actionsBuf are per-tick scratch reused across
 	// ticks; the pipeline fully consumes them before the tick returns.
@@ -498,13 +498,8 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 		c.hi = (ci + 1) * len(p.order) / nCells
 		for i := c.lo; i < c.hi; i++ {
 			st := p.states[p.order[i]]
-			if nCells > 1 {
-				st.drops = &c.drops
-				st.retries = &c.retries
-			} else {
-				st.drops = &p.drops
-				st.retries = &p.retries
-			}
+			st.drops = &c.drops
+			st.retries = &c.retries
 			if det != nil {
 				st.detRNG = det[i]
 			}

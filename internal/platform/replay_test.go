@@ -113,11 +113,11 @@ func TestReplayDeterminism(t *testing.T) {
 			serial := buildReplayScenario(t, sc, 1)
 			end := serial.World.Clock.Now() + sc.horizon
 			runUntil(t, serial, end)
-			want := digestPlatform(t, serial)
+			want := Digest(serial)
 
 			pooled := buildReplayScenario(t, sc, 8)
 			runUntil(t, pooled, end)
-			if got := digestPlatform(t, pooled); got != want {
+			if got := Digest(pooled); got != want {
 				t.Fatalf("pooled baseline diverges from serial: %s != %s", got, want)
 			}
 
@@ -133,7 +133,7 @@ func TestReplayDeterminism(t *testing.T) {
 			if err := rec.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := digestPlatform(t, recorded); got != want {
+			if got := Digest(recorded); got != want {
 				t.Fatalf("recording perturbed the run: %s != %s", got, want)
 			}
 
@@ -166,7 +166,7 @@ func TestReplayDeterminism(t *testing.T) {
 				t.Fatalf("restored tick %d, checkpoint %d", resumed.Ticks(), snap.Tick)
 			}
 			runUntil(t, resumed, resumeEnd)
-			if got := digestPlatform(t, resumed); got != want {
+			if got := Digest(resumed); got != want {
 				t.Errorf("resumed run diverges from uninterrupted: %s != %s", got, want)
 			}
 		})

@@ -1,40 +1,39 @@
 package platform
 
-// The fleet scheduler decomposes one platform tick into three phases:
+// The fleet scheduler runs one pipeline per tick (tick):
 //
-//  1. prepare (serial, fleet order): freeze one telemetry Snapshot per
-//     UAV against the post-Step world state and stage camera frames.
-//     Captures stay serial because the detector draws from one shared
-//     RNG stream — fleet order keeps the draw sequence, and therefore
-//     every experiment output, bit-identical to the serial loop.
-//  2. observe (concurrent, bounded worker pool): run each UAV's monitor
-//     chain over its snapshot. Chains only touch their own UAV's state
-//     and read-only shared models (the SINADRA network, the config),
-//     so any interleaving yields the same per-UAV results.
-//  3. apply (serial, fleet order): emit the collected events, run
+//  1. step: world physics. Vehicles step per cell on the worker pool;
+//     telemetry then publishes serially in fleet order.
+//  2. prepare (serial): the lost-link watchdog over the whole fleet,
+//     because a contingency mutates shared mission state (availability
+//     marks, task redistribution, the event log).
+//  3. observe (worker pool): freeze each UAV's telemetry Snapshot,
+//     stage its camera frame and run its monitor chain. Chains only
+//     touch their own UAV's state and read-only shared models (the
+//     SINADRA network, the config), so any interleaving yields the
+//     same per-UAV results. Failure tallies go to shard-local cell
+//     counters, merged at the barrier in ascending cell order.
+//  4. apply (serial, fleet order): emit the collected events, run
 //     mission management (crash redistribution, collaborative-landing
-//     steps, battery swaps) and execute flight actions. Everything
-//     that reads fleet-wide state (ConSert neighbour evidence) or
-//     mutates shared state (mission assignments, the event log)
-//     happens here, in stable p.order, which makes the concurrent
-//     scheduler's outputs bit-identical to the old serial loop.
+//     steps, battery swaps), execute flight actions and update the
+//     mission decision. Everything that reads fleet-wide state
+//     (ConSert neighbour evidence) or mutates shared state happens
+//     here, in stable p.order.
 //
-// With Config.Cells > 1 the fleet is sharded into contiguous cells of
-// the sorted order and tickSharded replaces the pipeline above:
-// physics and a fused prepare+observe run per cell on the worker pool,
-// while everything that crosses cells — the lost-link watchdog, the
-// counter merge, apply, the mission decision — runs at serial barriers.
-// Sharded captures draw from per-vehicle split detector streams, so
-// sharded outputs are bit-identical across cell counts and pool sizes
-// (though, with a detection scene, not to the unsharded single-stream
-// draw order).
+// The one layout-dependent choice is where prepareUAV runs. Unsharded
+// (one cell), captures draw from one shared detector stream, so every
+// snapshot is prepared serially in fleet order during phase 2 and
+// phase 3 fans out per UAV. Sharded (Config.Cells > 1), captures draw
+// from per-vehicle split streams, so preparation is fused into a
+// per-cell pass. Both layouts are bit-identical across pool sizes, and
+// sharded runs across cell counts (with a detection scene the two
+// layouts draw captures differently, so they do not match each other).
 
 import (
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sesame/internal/conserts"
 	"sesame/internal/detection"
@@ -59,21 +58,12 @@ type observation struct {
 	quarantined bool
 }
 
-// Tick advances the platform by one second: world physics, then the
-// prepare → observe → apply pipeline, then the mission-level decision.
-// With a flight recorder configured, the completed tick is appended to
-// the black box and a full checkpoint is written on cadence.
+// Tick advances the platform by one second through the pipeline
+// above. With a flight recorder configured, the completed tick is
+// appended to the black box and a full checkpoint is written on
+// cadence.
 func (p *Platform) Tick() error {
-	var err error
-	switch {
-	case len(p.cells) > 1:
-		err = p.tickSharded()
-	case p.obs == nil:
-		err = p.tickFast()
-	default:
-		err = p.tickObserved()
-	}
-	if err != nil {
+	if err := p.tick(); err != nil {
 		return err
 	}
 	p.ticks++
@@ -83,142 +73,74 @@ func (p *Platform) Tick() error {
 	return nil
 }
 
-// tickFast is the uninstrumented tick: no clock reads, no metric
-// touches, byte-for-byte the pre-observability hot path.
-func (p *Platform) tickFast() error {
-	if err := p.World.Step(1); err != nil {
-		return err
-	}
-	now := p.World.Clock.Now()
-	snaps := p.prepare(now)
-	observations := p.observeFleet(snaps)
-	for i, id := range p.order {
-		if err := p.apply(id, observations[i], now); err != nil {
-			return err
-		}
-	}
-	p.updateDecision()
-	return nil
-}
-
-// tickObserved is the same pipeline with per-phase wall-clock timing.
-// Phase durations only enter histograms (never Status), so digested
-// outputs stay identical to tickFast.
-func (p *Platform) tickObserved() error {
-	obs := p.obs
-	obs.tick.Add(1)
-	obs.ticks.Inc()
-	t := time.Now()
-	if err := p.World.Step(1); err != nil {
-		return err
-	}
-	obs.phaseStep.Observe(time.Since(t).Seconds())
-	now := p.World.Clock.Now()
-	t = time.Now()
-	snaps := p.prepare(now)
-	obs.phasePrepare.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	observations := p.observeFleet(snaps)
-	obs.phaseObserve.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	for i, id := range p.order {
-		if err := p.apply(id, observations[i], now); err != nil {
-			return err
-		}
-	}
-	p.updateDecision()
-	obs.phaseApply.Observe(time.Since(t).Seconds())
-	return nil
-}
-
-// tickSharded is the cell-sharded pipeline (Config.Cells > 1): physics
-// and a fused prepare+observe run per cell on the worker pool, with
-// everything that crosses cells at serial barriers in fleet (or
-// ascending cell) order. Phase timings are recorded when observability
-// is on; the step/observe split matches the legacy phase labels.
-func (p *Platform) tickSharded() error {
-	obs := p.obs
-	var t time.Time
-	if obs != nil {
-		obs.tick.Add(1)
-		obs.ticks.Inc()
-		t = time.Now()
-	}
+// tick is one pass of the step → prepare → observe → apply pipeline.
+func (p *Platform) tick() error {
+	phases := p.startPhases()
 	now, err := p.World.BeginStep(1)
 	if err != nil {
 		return err
 	}
-	p.runCells(func(c *cell) { p.World.StepRange(c.lo, c.hi, 1) })
+	p.parallelFor(len(p.cells), func(k int) { p.World.StepRange(p.cells[k].lo, p.cells[k].hi, 1) })
 	p.World.FinishStep(now)
-	if obs != nil {
-		obs.phaseStep.Observe(time.Since(t).Seconds())
-		t = time.Now()
-	}
-	// The lost-link watchdog mutates shared mission state (availability
-	// marks, task redistribution, the event log), so it runs serially
-	// over the whole fleet before the concurrent phases. Hoisting it out
-	// of prepare is output-neutral: a contingency only touches other
-	// vehicles through redispatch, which never changes a field prepare
-	// snapshots, and the watchdog draws no RNG.
+	phases.lap(phaseStep)
+
+	// The watchdog runs before any snapshot so snapshots reflect the
+	// contingencies commanded this tick. A contingency only touches
+	// other vehicles through redispatch, which never changes a field
+	// prepareUAV reads, and the watchdog draws no RNG.
 	for _, id := range p.order {
 		p.tickLinkWatchdog(p.states[id], now)
 	}
-	if obs != nil {
-		obs.phasePrepare.Observe(time.Since(t).Seconds())
-		t = time.Now()
-	}
-	snaps := p.snapshotBuf()
-	out := p.observationBuf()
-	p.runCells(func(c *cell) {
-		for i := c.lo; i < c.hi; i++ {
-			st := p.states[p.order[i]]
-			snaps[i] = p.prepareUAV(st, now)
-			out[i] = p.observeUAV(snaps[i])
+	snaps, out := p.snapshotBuf(), p.observationBuf()
+	fused := len(p.cells) > 1
+	if !fused {
+		for i, id := range p.order {
+			snaps[i] = p.prepareUAV(p.states[id], now)
 		}
-	})
-	p.mergeCellCounters()
-	if obs != nil {
-		obs.phaseObserve.Observe(time.Since(t).Seconds())
-		t = time.Now()
 	}
+	phases.lap(phasePrepare)
+	if fused {
+		p.parallelFor(len(p.cells), func(k int) {
+			for i := p.cells[k].lo; i < p.cells[k].hi; i++ {
+				snaps[i] = p.prepareUAV(p.states[p.order[i]], now)
+				out[i] = p.observeUAV(snaps[i])
+			}
+		})
+	} else {
+		p.parallelFor(len(snaps), func(i int) { out[i] = p.observeUAV(snaps[i]) })
+	}
+	p.mergeCellCounters()
+	phases.lap(phaseObserve)
+
 	for i, id := range p.order {
 		if err := p.apply(id, out[i], now); err != nil {
 			return err
 		}
 	}
 	p.updateDecision()
-	if obs != nil {
-		obs.phaseApply.Observe(time.Since(t).Seconds())
-	}
+	phases.lap(phaseApply)
 	return nil
 }
 
-// runCells fans fn out over the cells on the worker pool (the same
-// work-stealing pattern as observeFleet) and waits for all of them.
-func (p *Platform) runCells(fn func(c *cell)) {
-	workers := p.workers
-	if workers > len(p.cells) {
-		workers = len(p.cells)
-	}
+// parallelFor runs fn(0) … fn(n-1) on the worker pool, each worker
+// stealing the next index from a shared counter, and waits for all of
+// them. With one worker or one item it runs inline.
+func (p *Platform) parallelFor(n int, fn func(i int)) {
+	workers := min(p.workers, n)
 	if workers <= 1 {
-		for i := range p.cells {
-			fn(&p.cells[i])
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
 	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(p.cells) {
-					return
-				}
-				fn(&p.cells[i])
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
 	}
@@ -248,20 +170,6 @@ func (p *Platform) RunMission(horizon float64) error {
 		}
 	}
 	return nil
-}
-
-// prepare freezes one snapshot per UAV and stages perception frames in
-// fleet order (shared detector RNG — see package comment).
-func (p *Platform) prepare(now float64) []eddi.Snapshot {
-	snaps := p.snapshotBuf()
-	for i, id := range p.order {
-		st := p.states[id]
-		// Lost-link watchdog first: the snapshot then reflects any
-		// contingency commanded this tick.
-		p.tickLinkWatchdog(st, now)
-		snaps[i] = p.prepareUAV(st, now)
-	}
-	return snaps
 }
 
 // prepareUAV freezes one UAV's telemetry snapshot and stages its
@@ -320,40 +228,6 @@ func (p *Platform) observationBuf() []observation {
 		p.obsBuf = make([]observation, len(p.order))
 	}
 	return p.obsBuf[:len(p.order)]
-}
-
-// observeFleet fans the monitor chains out across the worker pool and
-// collects per-UAV results into fleet-order slots.
-func (p *Platform) observeFleet(snaps []eddi.Snapshot) []observation {
-	out := p.observationBuf()
-	workers := p.workers
-	if workers > len(snaps) {
-		workers = len(snaps)
-	}
-	if workers <= 1 || len(snaps) == 1 {
-		for i := range snaps {
-			out[i] = p.observeUAV(snaps[i])
-		}
-		return out
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(snaps) {
-					return
-				}
-				out[i] = p.observeUAV(snaps[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // observeUAV runs one UAV's telemetry reporting and monitor chain.

@@ -1,8 +1,6 @@
 package platform
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,28 +9,6 @@ import (
 	"sesame/internal/geo"
 	"sesame/internal/uavsim"
 )
-
-// digestPlatform hashes everything observable about a finished run:
-// the Fig. 4 status, the mission decision, the full event history and
-// the fleet availability.
-func digestPlatform(t *testing.T, p *Platform) string {
-	t.Helper()
-	blob := struct {
-		Status   Status
-		Decision string
-		History  interface{}
-	}{p.Status(), p.Decision().String(), p.Coordinator.History("")}
-	data, err := json.Marshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.avail != nil {
-		if a, err := p.Availability(); err == nil {
-			data = append(data, []byte(fmt.Sprintf("avail=%.12f", a))...)
-		}
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(data))
-}
 
 // schedulerScenarios are the experiment regimes the determinism check
 // covers: nominal, battery events under both policies, spoofing,
@@ -110,7 +86,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 				if err := p.RunMission(sc.horizon); err != nil {
 					t.Fatal(err)
 				}
-				digests[workers] = digestPlatform(t, p)
+				digests[workers] = Digest(p)
 			}
 			if digests[1] != digests[8] {
 				t.Errorf("scheduler output diverges: serial %s != pooled %s", digests[1], digests[8])

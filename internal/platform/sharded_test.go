@@ -73,7 +73,7 @@ func TestShardedSchedulerDeterminism(t *testing.T) {
 				if err := p.RunMission(sc.horizon); err != nil {
 					t.Fatal(err)
 				}
-				return digestPlatform(t, p)
+				return Digest(p)
 			}
 			want := run(2, 1)
 			for _, v := range []struct{ cells, workers int }{
@@ -126,7 +126,7 @@ func TestShardedDeterminismProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return digestPlatform(t, p)
+			return Digest(p)
 		}
 		want := run(cellA, 1)
 		if got := run(cellB, workers); got != want {

@@ -270,6 +270,13 @@ func (p *Platform) RestoreCheckpoint(s *PlatformSnapshot) error {
 	if err := p.World.RestoreSnapshot(s.World); err != nil {
 		return err
 	}
+	// Faults the recorded run's ticks swept (At <= checkpoint time) live
+	// on in the vehicle snapshots. A tick-0 checkpoint swept none: faults
+	// timed inside the climb-out are injected by the first tick, so they
+	// must survive the restore.
+	if s.Tick > 0 {
+		p.World.DropFaultsThrough(s.World.Time)
+	}
 	p.ticks = s.Tick
 	p.mission = sar.RestoreMission(s.Mission)
 	avail, err := sar.RestoreAvailabilityTracker(s.Avail)

@@ -1,9 +1,12 @@
 package platform
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 
+	"sesame/internal/eddi"
 	"sesame/internal/geo"
 	"sesame/internal/uavsim"
 )
@@ -123,6 +126,33 @@ func (p *Platform) Status() Status {
 		s.UAVs = append(s.UAVs, us)
 	}
 	return s
+}
+
+// Digest fingerprints a mission's externally observable state: the
+// fleet status, the mission decision, the full EDDI history and the
+// fleet availability at 12 decimals. It is the one mission digest
+// every entry point compares (CLI, mission host, campaign, experiments
+// and the determinism tests): two runs of the same recipe digest equal
+// iff their outputs are bit-identical. Status.Observability is left
+// out, so instrumentation never moves a digest; with observability off
+// that field is nil and omitted anyway, so those digests keep their
+// bytes.
+func Digest(p *Platform) string {
+	status := p.Status()
+	status.Observability = nil
+	blob := struct {
+		Status   Status
+		Decision string
+		History  []eddi.Event
+	}{status, p.Decision().String(), p.Coordinator.History("")}
+	data, err := json.Marshal(blob)
+	if err != nil {
+		return "digest-error: " + err.Error()
+	}
+	if avail, err := p.Availability(); err == nil {
+		data = fmt.Appendf(data, "avail=%.12f", avail)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
 // Handler returns an http.Handler serving the platform status as JSON

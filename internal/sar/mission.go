@@ -130,6 +130,9 @@ type AvailabilityTracker struct {
 	downSince map[string]float64
 	downTotal map[string]float64
 	uavs      map[string]bool
+	// order is the tracked fleet, sorted: FleetAvailability sums in
+	// this order so the mean does not depend on map iteration.
+	order []string
 }
 
 // NewAvailabilityTracker starts tracking at mission time start for the
@@ -144,10 +147,19 @@ func NewAvailabilityTracker(start float64, uavs []string) (*AvailabilityTracker,
 		downTotal: make(map[string]float64),
 		uavs:      make(map[string]bool, len(uavs)),
 	}
-	for _, u := range uavs {
-		tr.uavs[u] = true
-	}
+	tr.track(uavs)
 	return tr, nil
+}
+
+// track registers the fleet in membership and sorted order.
+func (tr *AvailabilityTracker) track(uavs []string) {
+	for _, u := range uavs {
+		if !tr.uavs[u] {
+			tr.uavs[u] = true
+			tr.order = append(tr.order, u)
+		}
+	}
+	sort.Strings(tr.order)
 }
 
 // MarkDown records the UAV becoming unavailable at time t. Repeated
@@ -194,17 +206,16 @@ func (tr *AvailabilityTracker) Availability(uav string, end float64) (float64, e
 	return av, nil
 }
 
-// FleetAvailability returns the mean availability over the fleet.
+// FleetAvailability returns the mean availability over the fleet,
+// summed in sorted UAV order so repeated calls agree to the last bit.
 func (tr *AvailabilityTracker) FleetAvailability(end float64) (float64, error) {
 	var sum float64
-	n := 0
-	for u := range tr.uavs {
+	for _, u := range tr.order {
 		a, err := tr.Availability(u, end)
 		if err != nil {
 			return 0, err
 		}
 		sum += a
-		n++
 	}
-	return sum / float64(n), nil
+	return sum / float64(len(tr.order)), nil
 }

@@ -74,10 +74,7 @@ func (tr *AvailabilityTracker) State() AvailabilityState {
 		DownSince: make(map[string]float64, len(tr.downSince)),
 		DownTotal: make(map[string]float64, len(tr.downTotal)),
 	}
-	for id := range tr.uavs {
-		s.UAVs = append(s.UAVs, id)
-	}
-	sort.Strings(s.UAVs)
+	s.UAVs = append(s.UAVs, tr.order...)
 	for k, v := range tr.downSince {
 		s.DownSince[k] = v
 	}
@@ -99,9 +96,7 @@ func RestoreAvailabilityTracker(s AvailabilityState) (*AvailabilityTracker, erro
 		downTotal: make(map[string]float64, len(s.DownTotal)),
 		uavs:      make(map[string]bool, len(s.UAVs)),
 	}
-	for _, id := range s.UAVs {
-		tr.uavs[id] = true
-	}
+	tr.track(s.UAVs)
 	for k, v := range s.DownSince {
 		tr.downSince[k] = v
 	}

@@ -13,7 +13,6 @@ package scenario_test
 // the import graph.
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,7 +46,7 @@ var terminalModes = map[string]bool{
 // launch builds the scenario into a running mission with the given
 // scheduler layout. Cells is digested, so checkpoint pairs must agree
 // on it; Workers is not.
-func launch(t *testing.T, sc *scenario.Scenario, workers, cells int) *platform.ScenarioRun {
+func launch(t *testing.T, sc *scenario.Scenario, workers, cells int) *platform.Launch {
 	t.Helper()
 	cfg := platform.DefaultConfig()
 	cfg.Workers = workers
@@ -58,26 +57,6 @@ func launch(t *testing.T, sc *scenario.Scenario, workers, cells int) *platform.S
 	}
 	t.Cleanup(run.Platform.Close)
 	return run
-}
-
-// digest replicates the platform test suite's digestPlatform: a hash
-// over everything observable about a run — the Fig. 4 status, the
-// mission decision, the full event history and the fleet availability.
-func digest(t *testing.T, p *platform.Platform) string {
-	t.Helper()
-	blob := struct {
-		Status   platform.Status
-		Decision string
-		History  interface{}
-	}{p.Status(), p.Decision().String(), p.Coordinator.History("")}
-	data, err := json.Marshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, err := p.Availability(); err == nil {
-		data = append(data, []byte(fmt.Sprintf("avail=%.12f", a))...)
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
 // checkSafety asserts the per-tick safety invariants on a running
@@ -153,7 +132,7 @@ func fly(t *testing.T, sc *scenario.Scenario, workers, cells, ticks int, tag str
 	t.Helper()
 	run := launch(t, sc, workers, cells)
 	tickN(t, sc, run.Platform, ticks, tag)
-	return digest(t, run.Platform)
+	return platform.Digest(run.Platform)
 }
 
 // TestScenarioProperty is the generative acceptance gate: at least 100
@@ -211,7 +190,7 @@ func TestScenarioProperty(t *testing.T) {
 			}
 			tickN(t, sc, donor.Platform, ticks/2, "donor-cont")
 			tickN(t, sc, resumed.Platform, ticks/2, "resumed")
-			if got, want := digest(t, resumed.Platform), digest(t, donor.Platform); got != want {
+			if got, want := platform.Digest(resumed.Platform), platform.Digest(donor.Platform); got != want {
 				t.Errorf("resumed run diverges from donor: %s != %s", got, want)
 			}
 		})
@@ -298,7 +277,7 @@ func TestCanonicalScenarioGoldens(t *testing.T) {
 		got = append(got, golden{
 			File:           file,
 			ScenarioDigest: sc.Digest(),
-			RunDigest:      digest(t, run.Platform),
+			RunDigest:      platform.Digest(run.Platform),
 		})
 	}
 

@@ -18,7 +18,6 @@
 package scenario
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -28,6 +27,7 @@ import (
 	"sesame/internal/chaos"
 	"sesame/internal/geo"
 	"sesame/internal/linksim"
+	"sesame/internal/strictjson"
 )
 
 // Vehicle kinds. They mirror uavsim.VehicleKind; the empty string
@@ -196,13 +196,8 @@ type Scenario struct {
 // change the world.
 func Load(data []byte) (*Scenario, error) {
 	var s Scenario
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return nil, fmt.Errorf("scenario: parsing: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: parsing: trailing data after scenario object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

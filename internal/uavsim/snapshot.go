@@ -220,8 +220,10 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 
 // RestoreSnapshot overlays a checkpoint onto a freshly rebuilt world:
 // the same fleet must already exist (same scenario builder, same seed).
-// It restores RNG streams, jumps the clock, drops faults the original
-// run had already injected, and overwrites each vehicle's state.
+// It restores RNG streams, jumps the clock and overwrites each
+// vehicle's state. Scheduled faults are left alone: only the caller
+// knows which of them the original run had already injected (see
+// DropFaultsThrough).
 func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 	if s.Seed != w.Clock.Seed() {
 		return fmt.Errorf("uavsim: snapshot seed %d != world seed %d", s.Seed, w.Clock.Seed())
@@ -249,9 +251,6 @@ func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 	w.telemetryDrops.Store(s.TelemetryDrops)
 	w.Clock.RestoreStreams(s.Streams)
 	w.Clock.SetNow(s.Time)
-	// Faults at or before the checkpoint were already injected in the
-	// recorded run; their effects live in the vehicle snapshots.
-	w.DropFaultsThrough(s.Time)
 	return nil
 }
 

@@ -324,6 +324,17 @@ func NewPlatform(w *World, scene *Scene, cfg PlatformConfig) (*Platform, error) 
 // data feed).
 func PlatformHandler(p *Platform) http.Handler { return p.Handler() }
 
+// MissionRecipe is everything that fixes a mission before its first
+// tick: the seeded classic mission (fleet size, persons, survey square,
+// horizon, optional chaos plan) or a declarative Scenario. Its Build
+// method starts the mission; every entry point builds through it, so
+// one recipe is one mission with one digest.
+type MissionRecipe = platform.Recipe
+
+// MissionLaunch is a built mission, started and ready to tick: world,
+// platform, link and chaos layers, launch time and horizon end.
+type MissionLaunch = platform.Launch
+
 // PlatformRetries counts the bounded database retry-with-backoff
 // outcomes (exposed in PlatformStatus).
 type PlatformRetries = platform.RetryCounters
@@ -446,24 +457,6 @@ type ChaosStats = chaos.Stats
 // and trailing data are rejected.
 func LoadChaosPlan(data []byte) (ChaosPlan, error) { return chaos.LoadPlan(data) }
 
-// NewChaosLayer arms plan against the world's simulation clock. Append
-// the layer's MonitorBuilder() (when non-nil) to
-// PlatformConfig.ExtraMonitors before building the platform, then call
-// ArmChaos after.
-func NewChaosLayer(w *World, plan ChaosPlan) (*ChaosLayer, error) { return chaos.New(w.Clock, plan) }
-
-// ArmChaos attaches a chaos layer's bus, broker and mission-database
-// injectors to a built platform. Call it after any link-quality layer
-// so chaos drops are decided first, and before the mission starts so
-// injection windows cover the whole flight.
-func ArmChaos(l *ChaosLayer, w *World, p *Platform) {
-	l.AttachBus(w.Bus)
-	l.AttachBroker(p.Broker)
-	if hook := l.DBHook(ErrDatabaseUnavailable); hook != nil {
-		p.DB.SetFaultHook(hook)
-	}
-}
-
 // ---- Declarative scenarios (internal/scenario) ----
 
 // Scenario is a declarative mission description: search areas, wind,
@@ -472,10 +465,6 @@ func ArmChaos(l *ChaosLayer, w *World, p *Platform) {
 // one from strict JSON or generate one from a seeded archetype, then
 // fly it with LaunchScenario.
 type Scenario = scenario.Scenario
-
-// ScenarioRun bundles everything LaunchScenario built: world,
-// platform, link layer and chaos layer.
-type ScenarioRun = platform.ScenarioRun
 
 // Scenario archetypes for GenerateScenario.
 const (
@@ -502,7 +491,7 @@ func ScenarioArchetypes() []string { return scenario.Archetypes() }
 // the mission started over every declared site. Drive the returned
 // platform's tick loop to the scenario horizon, and Close the platform
 // when done.
-func LaunchScenario(sc *Scenario, cfg PlatformConfig) (*ScenarioRun, error) {
+func LaunchScenario(sc *Scenario, cfg PlatformConfig) (*MissionLaunch, error) {
 	return platform.LaunchScenario(sc, cfg)
 }
 
