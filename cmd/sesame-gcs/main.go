@@ -362,30 +362,35 @@ func serve(opts gcsOptions, out io.Writer, stop <-chan os.Signal) error {
 	return serveSingle(opts, ln, out, stop)
 }
 
-// serveSingle runs the classic one-mission station: a background
-// goroutine ticks the simulation, HTTP serves the published feed. On
-// stop the ticker halts, the black box (if any) is flushed and closed,
-// and open connections drain.
-func serveSingle(opts gcsOptions, ln net.Listener, out io.Writer, stop <-chan os.Signal) error {
-	g, err := newGCS(opts)
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	defer g.p.Close()
+// The station's HTTP servers bound how long a client may hold a
+// connection without progress: readHeaderTimeout to send a request
+// header, idleTimeout between keep-alive requests. They set no write
+// timeout, which would cut the long-lived SSE streams.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
 
+// runStation serves h on ln with the station's timeouts while a
+// background goroutine calls tick every tickMS milliseconds (a tick
+// error stops the ticking, not the serving), once it has announced
+// itself with the listening line "sesame-gcs: <banner>". On stop the
+// ticker halts, flush persists the station's state, and open
+// connections drain.
+func runStation(ln net.Listener, h http.Handler, tickMS int, tick func() error, flush func(),
+	banner string, out io.Writer, stop <-chan os.Signal) error {
 	tickStop := make(chan struct{})
 	tickDone := make(chan struct{})
 	go func() {
 		defer close(tickDone)
-		ticker := time.NewTicker(time.Duration(opts.tickMS) * time.Millisecond)
+		ticker := time.NewTicker(time.Duration(tickMS) * time.Millisecond)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-tickStop:
 				return
 			case <-ticker.C:
-				if err := g.tick(); err != nil {
+				if err := tick(); err != nil {
 					fmt.Fprintln(os.Stderr, "sesame-gcs: tick:", err)
 					return
 				}
@@ -393,26 +398,22 @@ func serveSingle(opts gcsOptions, ln net.Listener, out io.Writer, stop <-chan os
 		}
 	}()
 
-	srv := &http.Server{Handler: g.handler()}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Fprintf(out, "sesame-gcs: serving fleet status on %s (/, /events, /ui, /metrics, /debug/pprof/%s)\n",
-		ln.Addr(), map[bool]string{true: ", /blackbox"}[g.rec != nil])
+	fmt.Fprintln(out, "sesame-gcs:", banner)
 
+	var err error
 	select {
-	case err := <-errCh:
-		close(tickStop)
-		<-tickDone
-		return err
+	case err = <-errCh:
 	case <-stop:
 	}
 	close(tickStop)
 	<-tickDone
-	if g.rec != nil {
-		if err := g.rec.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "sesame-gcs: black box close:", err)
-		}
+	if err != nil {
+		return err
 	}
+	flush()
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -423,12 +424,33 @@ func serveSingle(opts gcsOptions, ln net.Listener, out io.Writer, stop <-chan os
 	return nil
 }
 
+// serveSingle runs the classic one-mission station: the ticker drives
+// the simulation, HTTP serves the published feed, and on stop the
+// black box (if any) is flushed and closed.
+func serveSingle(opts gcsOptions, ln net.Listener, out io.Writer, stop <-chan os.Signal) error {
+	g, err := newGCS(opts)
+	if err != nil {
+		ln.Close()
+		return err
+	}
+	defer g.p.Close()
+	flush := func() {
+		if g.rec != nil {
+			if err := g.rec.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "sesame-gcs: black box close:", err)
+			}
+		}
+	}
+	banner := fmt.Sprintf("serving fleet status on %s (/, /events, /ui, /metrics, /debug/pprof/%s)",
+		ln.Addr(), map[bool]string{true: ", /blackbox"}[g.rec != nil])
+	return runStation(ln, g.handler(), opts.tickMS, g.tick, flush, banner, out, stop)
+}
+
 // serveMulti runs the multi-tenant mission host: the registry API plus
-// the observability routes, with a background round loop driving every
-// live mission on the shared worker pool. On stop the round loop
-// halts, every live mission is checkpointed to the park directory, SSE
-// streams close, and connections drain — a later start with the same
-// -park-dir recovers the fleet.
+// the observability routes, with the ticker driving a round over every
+// live mission on the shared worker pool. On stop every live mission
+// is checkpointed to the park directory and SSE streams close — a
+// later start with the same -park-dir recovers the fleet.
 func serveMulti(opts gcsOptions, ln net.Listener, out io.Writer, stop <-chan os.Signal) error {
 	reg := sesame.NewObsvRegistry()
 	host, err := sesame.NewMissionHost(sesame.MissionHostConfig{
@@ -454,50 +476,16 @@ func serveMulti(opts gcsOptions, ln net.Listener, out io.Writer, stop <-chan os.
 		}
 		api.ServeHTTP(w, r)
 	})
-
-	roundStop := make(chan struct{})
-	roundDone := make(chan struct{})
-	go func() {
-		defer close(roundDone)
-		ticker := time.NewTicker(time.Duration(opts.tickMS) * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-roundStop:
-				return
-			case <-ticker.C:
-				host.Round()
-			}
+	round := func() error { host.Round(); return nil }
+	// Parking every live mission also closes all subscriber channels,
+	// so blocked SSE handlers return and the drain can finish.
+	flush := func() {
+		if err := host.Shutdown(); err != nil {
+			fmt.Fprintln(os.Stderr, "sesame-gcs: mission host shutdown:", err)
 		}
-	}()
-
-	srv := &http.Server{Handler: handler}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Fprintf(out, "sesame-gcs: hosting missions on %s (/missions, /metrics, /debug/pprof/)\n", ln.Addr())
-
-	select {
-	case err := <-errCh:
-		close(roundStop)
-		<-roundDone
-		return err
-	case <-stop:
 	}
-	close(roundStop)
-	<-roundDone
-	// Park every live mission first: this also closes all subscriber
-	// channels, so blocked SSE handlers return and Shutdown can drain.
-	if err := host.Shutdown(); err != nil {
-		fmt.Fprintln(os.Stderr, "sesame-gcs: mission host shutdown:", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	<-errCh // http.ErrServerClosed
-	fmt.Fprintln(out, "sesame-gcs: stopped")
-	return nil
+	banner := fmt.Sprintf("hosting missions on %s (/missions, /metrics, /debug/pprof/)", ln.Addr())
+	return runStation(ln, handler, opts.tickMS, round, flush, banner, out, stop)
 }
 
 // uiPage is the minimal Fig. 4 web GUI: fleet tracks on a canvas plus

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -287,5 +289,46 @@ func TestServeMultiKillRestartRoundTrip(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("second serve did not stop after the signal")
+	}
+}
+
+// TestServersDropStalledHeaders holds both station modes to the
+// header-read bound: a client that sends part of a request header and
+// then stalls is disconnected, instead of pinning a connection (and a
+// server goroutine) forever.
+func TestServersDropStalledHeaders(t *testing.T) {
+	for name, multi := range map[string]bool{"single": false, "multi": true} {
+		multi := multi
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			opts := defaultGCSOptions()
+			opts.addr = "127.0.0.1:0"
+			opts.multi = multi
+			if multi {
+				opts.parkDir = t.TempDir()
+			}
+			out := &syncBuffer{}
+			stop := make(chan os.Signal, 1)
+			addr, errCh := startServe(t, opts, out, stop)
+			defer func() {
+				stop <- os.Interrupt
+				<-errCh
+			}()
+
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("GET / HTTP/1.1\r\nHost: station\r\n")); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadAll(conn); err != nil {
+				t.Fatalf("stalled client still connected after the header timeout: %v", err)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -94,21 +93,12 @@ func RunFlightRec(seed int64) (*FlightRecResult, error) {
 
 	// Crash mid-flight, resume from the newest checkpoint before it.
 	res.CrashTick = res.FinalTick / 2
-	snap, _, err := flightrec.LatestSnapshot(dir, res.CrashTick)
-	if err != nil {
-		return nil, err
-	}
-	res.ResumeTick = snap.Tick
-	var ps platform.PlatformSnapshot
-	if err := json.Unmarshal(snap.State, &ps); err != nil {
-		return nil, err
-	}
 	if l, err = buildEventfulMission(seed, nil); err != nil {
 		return nil, err
 	}
 	p = l.Platform
 	defer p.Close()
-	if err := p.RestoreCheckpoint(&ps); err != nil {
+	if res.ResumeTick, err = p.RestoreRecording(dir, res.CrashTick); err != nil {
 		return nil, err
 	}
 	if err := flyUntil(p, end); err != nil {

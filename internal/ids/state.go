@@ -8,8 +8,8 @@ import (
 // State is the IDS's serializable detection state for the flight
 // recorder (internal/flightrec). The bus subscription, broker wiring
 // and observability handles are rebuilt by New/Instrument; pending is
-// transient within one inspect call and is always empty between ticks
-// (checkpoints are only taken on a quiescent platform).
+// transient within one inspect call and is always empty between ticks,
+// where checkpoints are taken.
 type State struct {
 	Alerts   []Alert                  `json:"alerts"`
 	Arrival  map[string][]float64     `json:"arrival"`

@@ -8,15 +8,21 @@
 //
 // Determinism contract: every stochastic draw comes from a per-link
 // seeded simclock stream, draws happen in a fixed order per frame, and
-// delayed frames are released through the clock's event queue. A run
-// with the same seed and the same fault schedule is therefore
-// bit-identical, the comms analogue of uavsim.ScheduleFault.
+// delayed and held frames wait in the layer's own queue, released in
+// (due time, sequence) order as the world advances. A run with the
+// same seed and the same fault schedule is therefore bit-identical,
+// the comms analogue of uavsim.ScheduleFault. The queue is plain data,
+// so a checkpoint taken at any tick boundary carries the frames in
+// flight (State, Restore).
 package linksim
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,7 +52,7 @@ type Profile struct {
 
 // LinkStats counts one link's frame fates. The conservation invariant
 // Offered + Duplicated == Delivered + Dropped + Rejected + Pending
-// holds at every quiescent point (OutageDropped, Delayed and Reordered
+// holds at every tick boundary (OutageDropped, Delayed and Reordered
 // are sub-classifications, not invariant terms).
 type LinkStats struct {
 	Offered       uint64 `json:"offered"`
@@ -65,12 +71,29 @@ type outage struct {
 	reject   bool
 }
 
-// heldFrame is a frame parked for reordering; released is guarded by
-// the layer mutex so the inline release and the fail-safe timer cannot
-// both fire.
-type heldFrame struct {
-	deliver  func()
-	released bool
+// Frame is one frame crossing a link. A bus frame carries the bus
+// message's topic, publisher, sequence number, stamp and payload (as
+// JSON in Msg within a checkpoint); a broker frame carries its topic
+// and raw Payload. Due, Seq and Copies order and size a queued
+// frame's release; a Held frame waits for a later frame to overtake
+// it, Due being its fail-safe release. The queue holds Frames, so a
+// checkpoint (State) is a copy of it.
+type Frame struct {
+	Due       float64         `json:"due"`
+	Seq       uint64          `json:"seq"`
+	Link      string          `json:"link"`
+	Copies    int             `json:"copies"`
+	Held      bool            `json:"held,omitempty"`
+	Bus       bool            `json:"bus,omitempty"`
+	Topic     string          `json:"topic"`
+	Publisher string          `json:"publisher,omitempty"`
+	MsgSeq    uint64          `json:"msg_seq,omitempty"`
+	Stamp     float64         `json:"stamp,omitempty"`
+	Msg       json.RawMessage `json:"msg,omitempty"`
+	Payload   []byte          `json:"payload,omitempty"`
+
+	value any // a queued bus frame's payload
+	link  *Link
 }
 
 // Link is one logical radio link (conventionally one per UAV node
@@ -81,8 +104,7 @@ type Link struct {
 	rng     *rand.Rand
 	profile Profile
 	outages []outage
-	held    *heldFrame
-	pending int
+	held    *Frame
 	stats   LinkStats
 	m       linkMetrics
 }
@@ -97,11 +119,17 @@ type linkMetrics struct {
 // Layer multiplexes links over a bus and/or broker. The zero value is
 // not usable; call New.
 type Layer struct {
-	mu    sync.Mutex
-	clock *simclock.Clock
-	name  string
-	links map[string]*Link
-	vecs  *layerVecs
+	mu     sync.Mutex
+	clock  *simclock.Clock
+	name   string
+	links  map[string]*Link
+	vecs   *layerVecs
+	bus    *rosbus.Bus
+	broker *mqttlite.Broker
+	// queue holds every delayed or held frame, sorted by (due, seq);
+	// seq numbers them in the order they were queued.
+	queue []*Frame
+	seq   uint64
 }
 
 // layerVecs holds the per-outcome counter families, one series per
@@ -153,20 +181,28 @@ func (v *layerVecs) forLink(name string) linkMetrics {
 	}
 }
 
-// New returns a fault layer drawing randomness from clock's streams.
-// The layer name namespaces the RNG streams so two layers on one clock
-// stay independent.
+// New returns a fault layer drawing randomness from clock's streams
+// and releasing its queued frames as the clock advances. The layer
+// name namespaces the RNG streams so two layers on one clock stay
+// independent.
 func New(clock *simclock.Clock, name string) *Layer {
 	if name == "" {
 		name = "default"
 	}
-	return &Layer{clock: clock, name: name, links: make(map[string]*Link)}
+	l := &Layer{clock: clock, name: name, links: make(map[string]*Link)}
+	clock.OnAdvance(l.release)
+	return l
 }
 
 // Link returns the named link, creating a perfect one on first use.
 func (l *Layer) Link(name string) *Link {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.linkLocked(name)
+}
+
+// linkLocked is Link with the layer mutex held.
+func (l *Layer) linkLocked(name string) *Link {
 	lk, ok := l.links[name]
 	if !ok {
 		lk = &Link{
@@ -191,12 +227,14 @@ func (l *Layer) lookup(name string) *Link {
 // its publisher node. Publishers without a configured link pass through
 // untouched, so only explicitly faulted nodes see impairments.
 func (l *Layer) AttachBus(bus *rosbus.Bus) {
+	l.bus = bus
 	bus.SetFilter(func(msg rosbus.Message) (bool, error) {
 		lk := l.lookup(msg.Publisher)
 		if lk == nil {
 			return true, nil
 		}
-		return lk.transit(func() { _ = bus.Deliver(msg) })
+		return lk.transit(Frame{Bus: true, Topic: msg.Topic, Publisher: msg.Publisher, MsgSeq: msg.Seq,
+			Stamp: msg.Stamp, value: msg.Payload})
 	})
 }
 
@@ -204,6 +242,7 @@ func (l *Layer) AttachBus(bus *rosbus.Bus) {
 // route(topic); an empty route result passes the message through. This
 // is how the IDS alert path (alerts/ids/<uav>) shares a UAV's link.
 func (l *Layer) AttachBroker(b *mqttlite.Broker, route func(topic string) string) {
+	l.broker = b
 	b.SetFilter(func(topic string, payload []byte) (bool, error) {
 		name := route(topic)
 		if name == "" {
@@ -213,9 +252,56 @@ func (l *Layer) AttachBroker(b *mqttlite.Broker, route func(topic string) string
 		if lk == nil {
 			return true, nil
 		}
-		p := append([]byte(nil), payload...)
-		return lk.transit(func() { _ = b.Deliver(topic, p, false) })
+		return lk.transit(Frame{Topic: topic, Payload: append([]byte(nil), payload...)})
 	})
+}
+
+// deliver re-injects one copy of f past the filter.
+func (l *Layer) deliver(f *Frame) {
+	if f.Bus {
+		_ = l.bus.Deliver(rosbus.Message{Topic: f.Topic, Publisher: f.Publisher, Seq: f.MsgSeq, Stamp: f.Stamp, Payload: f.value})
+	} else {
+		_ = l.broker.Deliver(f.Topic, f.Payload, false)
+	}
+}
+
+// push queues f for release at its due time, after every frame due
+// no later, and counts its copies pending. Requires l.mu.
+func (l *Layer) push(f Frame) *Frame {
+	l.seq++
+	f.Seq = l.seq
+	f.link.stats.Pending += uint64(f.Copies)
+	i := sort.Search(len(l.queue), func(i int) bool { return l.queue[i].Due > f.Due })
+	l.queue = slices.Insert(l.queue, i, &f)
+	return &f
+}
+
+// release delivers every queued frame due at or before until, in
+// (due, seq) order, with the clock reading each frame's due time while
+// it is delivered. A frame queued by a delivery that falls due before
+// until goes out in the same call. It is the hook New registers on
+// the clock.
+func (l *Layer) release(until float64) {
+	for {
+		l.mu.Lock()
+		if len(l.queue) == 0 || l.queue[0].Due > until {
+			l.mu.Unlock()
+			return
+		}
+		f := l.queue[0]
+		l.queue = slices.Delete(l.queue, 0, 1)
+		lk := f.link
+		if f.Held {
+			lk.held = nil
+		}
+		lk.stats.Pending -= uint64(f.Copies)
+		count(&lk.stats.Delivered, lk.m.delivered, uint64(f.Copies))
+		l.mu.Unlock()
+		l.clock.SetNow(f.Due)
+		for i := 0; i < f.Copies; i++ {
+			l.deliver(f)
+		}
+	}
 }
 
 // Stats returns a snapshot of every link's counters, keyed by link name.
@@ -224,9 +310,7 @@ func (l *Layer) Stats() map[string]LinkStats {
 	defer l.mu.Unlock()
 	out := make(map[string]LinkStats, len(l.links))
 	for name, lk := range l.links {
-		s := lk.stats
-		s.Pending = uint64(lk.pending)
-		out[name] = s
+		out[name] = lk.stats
 	}
 	return out
 }
@@ -290,16 +374,13 @@ func (lk *Link) DownNow(now float64) bool {
 func (lk *Link) Stats() LinkStats {
 	lk.layer.mu.Lock()
 	defer lk.layer.mu.Unlock()
-	s := lk.stats
-	s.Pending = uint64(lk.pending)
-	return s
+	return lk.stats
 }
 
-// Pending returns the number of frames queued (delayed or held).
-func (lk *Link) Pending() int {
-	lk.layer.mu.Lock()
-	defer lk.layer.mu.Unlock()
-	return lk.pending
+// count adds n to one of a link's counters and to its metric mirror.
+func count(stat *uint64, mirror *obsv.Counter, n uint64) {
+	*stat += n
+	mirror.Add(n)
 }
 
 // outageAt must be called with the layer mutex held.
@@ -315,33 +396,28 @@ func (lk *Link) outageAt(now float64) (down, reject bool) {
 	return down, false
 }
 
-// transit decides one frame's fate. deliver must re-inject the frame
-// past the filter (bus.Deliver / broker.Deliver). The return values
-// follow the Filter contract: forward=true hands delivery back to the
-// caller; forward=false means the frame was consumed here (dropped,
-// queued, or already delivered via deliver).
+// transit decides one frame's fate. The return values follow the
+// Filter contract: forward=true hands delivery back to the caller;
+// forward=false means the frame was consumed here (dropped, queued, or
+// already delivered).
 //
-// Deliveries always happen outside the layer mutex: deliver re-enters
-// bus handlers, which may publish alerts through a broker whose filter
+// Deliveries always happen outside the layer mutex: they re-enter bus
+// handlers, which may publish alerts through a broker whose filter
 // takes this same mutex.
-func (lk *Link) transit(deliver func()) (bool, error) {
+func (lk *Link) transit(f Frame) (bool, error) {
 	l := lk.layer
 	l.mu.Lock()
-	lk.stats.Offered++
-	lk.m.offered.Inc()
+	count(&lk.stats.Offered, lk.m.offered, 1)
 	now := l.clock.Now()
 
 	if down, reject := lk.outageAt(now); down {
 		if reject {
-			lk.stats.Rejected++
-			lk.m.rejected.Inc()
+			count(&lk.stats.Rejected, lk.m.rejected, 1)
 			l.mu.Unlock()
 			return false, ErrLinkDown
 		}
-		lk.stats.Dropped++
-		lk.stats.OutageDropped++
-		lk.m.dropped.Inc()
-		lk.m.outageDropped.Inc()
+		count(&lk.stats.Dropped, lk.m.dropped, 1)
+		count(&lk.stats.OutageDropped, lk.m.outageDropped, 1)
 		l.mu.Unlock()
 		return false, nil
 	}
@@ -352,35 +428,16 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 	// later draws, which is fine: the draw sequence is a pure function
 	// of the frame sequence and prior outcomes.
 	if p.DropProb > 0 && lk.rng.Float64() < p.DropProb {
-		lk.stats.Dropped++
-		lk.m.dropped.Inc()
+		count(&lk.stats.Dropped, lk.m.dropped, 1)
 		l.mu.Unlock()
 		return false, nil
 	}
 
+	f.link = lk
 	if p.ReorderProb > 0 && lk.held == nil && lk.rng.Float64() < p.ReorderProb {
-		hf := &heldFrame{deliver: deliver}
-		lk.held = hf
-		lk.pending++
-		lk.stats.Reordered++
-		lk.m.reordered.Inc()
-		holdMax := p.HoldMaxS
-		l.clock.After(holdMax, "linksim/"+l.name+"/"+lk.name+"/hold", func() {
-			l.mu.Lock()
-			if hf.released {
-				l.mu.Unlock()
-				return
-			}
-			hf.released = true
-			if lk.held == hf {
-				lk.held = nil
-			}
-			lk.pending--
-			lk.stats.Delivered++
-			lk.m.delivered.Inc()
-			l.mu.Unlock()
-			hf.deliver()
-		})
+		f.Due, f.Copies, f.Held = now+p.HoldMaxS, 1, true
+		lk.held = l.push(f)
+		count(&lk.stats.Reordered, lk.m.reordered, 1)
 		l.mu.Unlock()
 		return false, nil
 	}
@@ -392,47 +449,30 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 		if p.DelayMaxS > p.DelayMinS {
 			amount += lk.rng.Float64() * (p.DelayMaxS - p.DelayMinS)
 		}
-		copies := 1
-		lk.stats.Delayed++
-		lk.m.delayed.Inc()
+		f.Due, f.Copies = now+amount, 1
+		count(&lk.stats.Delayed, lk.m.delayed, 1)
 		if dup {
-			copies = 2
-			lk.stats.Duplicated++
-			lk.m.duplicated.Inc()
+			f.Copies = 2
+			count(&lk.stats.Duplicated, lk.m.duplicated, 1)
 		}
-		lk.pending += copies
-		l.clock.After(amount, "linksim/"+l.name+"/"+lk.name+"/delay", func() {
-			l.mu.Lock()
-			lk.pending -= copies
-			lk.stats.Delivered += uint64(copies)
-			lk.m.delivered.Add(uint64(copies))
-			l.mu.Unlock()
-			for i := 0; i < copies; i++ {
-				deliver()
-			}
-		})
+		l.push(f)
 		l.mu.Unlock()
 		return false, nil
 	}
 
 	// Inline path. Releasing a held frame here is what produces the
 	// reorder: the held (earlier) frame lands after this (later) one.
-	var release *heldFrame
-	if lk.held != nil && !lk.held.released {
-		release = lk.held
-		release.released = true
+	release := lk.held
+	if release != nil {
+		l.queue = slices.DeleteFunc(l.queue, func(q *Frame) bool { return q == release })
 		lk.held = nil
-		lk.pending--
-		lk.stats.Delivered++ // the released frame
-		lk.m.delivered.Inc()
+		lk.stats.Pending--
+		count(&lk.stats.Delivered, lk.m.delivered, 1) // the released frame
 	}
-	lk.stats.Delivered++ // this frame
-	lk.m.delivered.Inc()
+	count(&lk.stats.Delivered, lk.m.delivered, 1) // this frame
 	if dup {
-		lk.stats.Duplicated++
-		lk.stats.Delivered++
-		lk.m.duplicated.Inc()
-		lk.m.delivered.Inc()
+		count(&lk.stats.Duplicated, lk.m.duplicated, 1)
+		count(&lk.stats.Delivered, lk.m.delivered, 1)
 	}
 	l.mu.Unlock()
 
@@ -440,12 +480,84 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 		// Nothing extra to interleave: let the caller deliver.
 		return true, nil
 	}
-	deliver()
+	l.deliver(&f)
 	if release != nil {
-		release.deliver()
+		l.deliver(release)
 	}
 	if dup {
-		deliver()
+		l.deliver(&f)
 	}
 	return false, nil
+}
+
+// State is a layer's checkpoint: the frames in flight in release
+// order (held frames included), the queue's sequence counter and every
+// link's counters. Profiles, outage windows and RNG streams are not
+// part of it: the rebuilt mission configures the links again, and the
+// world checkpoint carries the stream positions.
+type State struct {
+	Seq    uint64               `json:"seq"`
+	Frames []Frame              `json:"frames,omitempty"`
+	Links  map[string]LinkStats `json:"links"`
+}
+
+// State exports the layer's checkpoint.
+func (l *Layer) State() (State, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := State{Seq: l.seq, Links: make(map[string]LinkStats, len(l.links))}
+	for name, lk := range l.links {
+		st.Links[name] = lk.stats
+	}
+	for _, f := range l.queue {
+		sf := *f
+		sf.Link, sf.value, sf.link = f.link.name, nil, nil
+		if f.Bus {
+			var err error
+			if sf.Msg, err = json.Marshal(f.value); err != nil {
+				return State{}, fmt.Errorf("linksim: checkpoint frame on %s: %w", f.Topic, err)
+			}
+		}
+		st.Frames = append(st.Frames, sf)
+	}
+	return st, nil
+}
+
+// Restore overlays a checkpoint onto a freshly rebuilt layer: it
+// replaces the queue, the held frames, the sequence counter and every
+// link's counters (links absent from st restart at zero). decode turns
+// a bus frame's JSON payload back into the value its topic carries.
+func (l *Layer) Restore(st State, decode func(topic string, payload json.RawMessage) (any, error)) error {
+	queue := make([]*Frame, 0, len(st.Frames))
+	for _, sf := range st.Frames {
+		f := sf
+		switch {
+		case f.Bus && l.bus != nil:
+			value, err := decode(f.Topic, f.Msg)
+			if err != nil {
+				return fmt.Errorf("linksim: restore frame %d: %w", f.Seq, err)
+			}
+			f.value, f.Msg = value, nil
+		case !f.Bus && l.broker != nil:
+		default:
+			return fmt.Errorf("linksim: restore frame %d: no attached bus or broker carries it", f.Seq)
+		}
+		queue = append(queue, &f)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for name, lk := range l.links {
+		lk.stats, lk.held = st.Links[name], nil
+	}
+	for name, s := range st.Links {
+		l.linkLocked(name).stats = s
+	}
+	for _, f := range queue {
+		f.link = l.linkLocked(f.Link)
+		if f.Held {
+			f.link.held = f
+		}
+	}
+	l.queue, l.seq = queue, st.Seq
+	return nil
 }

@@ -1,6 +1,7 @@
 package linksim
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -104,7 +105,7 @@ func TestOutageWindows(t *testing.T) {
 	lk.AddOutage(2, 4)       // silent loss for t in [2,4)
 	lk.AddRejectOutage(6, 8) // rejecting for t in [6,8)
 	for i := 0; i < 10; i++ {
-		r.clock.RunUntil(float64(i))
+		r.clock.AdvanceTo(float64(i))
 		err := r.pub.Publish(float64(i), fmt.Sprintf("m%d", i))
 		switch {
 		case i >= 6 && i < 8:
@@ -135,9 +136,9 @@ func TestDownAtIsPermanent(t *testing.T) {
 	r := newRig(t, 1)
 	lk := r.layer.Link("u1")
 	lk.DownAt(5)
-	r.clock.RunUntil(4)
+	r.clock.AdvanceTo(4)
 	_ = r.pub.Publish(4, "before")
-	r.clock.RunUntil(1000)
+	r.clock.AdvanceTo(1000)
 	_ = r.pub.Publish(1000, "after")
 	if !reflect.DeepEqual(r.got, []string{"before"}) {
 		t.Fatalf("got %v", r.got)
@@ -154,14 +155,14 @@ func TestDelayReleasesThroughClock(t *testing.T) {
 	if len(r.got) != 0 {
 		t.Fatal("delayed frame delivered inline")
 	}
-	if lk.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", lk.Pending())
+	if got := lk.Stats().Pending; got != 1 {
+		t.Fatalf("Pending = %d, want 1", got)
 	}
-	r.clock.RunUntil(1.9)
+	r.clock.AdvanceTo(1.9)
 	if len(r.got) != 0 {
 		t.Fatal("frame released before DelayMinS")
 	}
-	r.clock.RunUntil(3.1)
+	r.clock.AdvanceTo(3.1)
 	if !reflect.DeepEqual(r.got, []string{"late"}) {
 		t.Fatalf("got %v", r.got)
 	}
@@ -222,7 +223,7 @@ func TestReorderFailsafeReleasesHeldFrame(t *testing.T) {
 		t.Fatal("held frame delivered early")
 	}
 	// No successor ever arrives; the fail-safe timer must deliver it.
-	r.clock.RunUntil(10)
+	r.clock.AdvanceTo(10)
 	if !reflect.DeepEqual(r.got, []string{"only"}) {
 		t.Fatalf("got %v", r.got)
 	}
@@ -245,10 +246,10 @@ func TestDeterministicReplay(t *testing.T) {
 			DelayMinS: 0.5, DelayMaxS: 2.5, ReorderProb: 0.2,
 		})
 		for i := 0; i < 200; i++ {
-			r.clock.RunUntil(float64(i))
+			r.clock.AdvanceTo(float64(i))
 			_ = r.pub.Publish(float64(i), fmt.Sprintf("m%d", i))
 		}
-		r.clock.RunUntil(300)
+		r.clock.AdvanceTo(300)
 		s := lk.Stats()
 		checkConservation(t, s)
 		if s.Pending != 0 {
@@ -306,7 +307,7 @@ func TestBrokerAttachRoutesAlertTraffic(t *testing.T) {
 	if err := broker.Publish("alerts/ids/u1", []byte("b"), false); err != nil {
 		t.Fatal(err)
 	}
-	clock.RunUntil(20)
+	clock.AdvanceTo(20)
 	if err := broker.Publish("alerts/ids/u2", []byte("c"), false); err != nil {
 		t.Fatal(err)
 	}
@@ -332,5 +333,104 @@ func TestLayerStatsSnapshot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.layer.Links(), []string{"u1", "u2"}) {
 		t.Fatalf("Links() = %v", r.layer.Links())
+	}
+}
+
+// decodeString is the payload decoder for the string frames the tests
+// publish.
+func decodeString(_ string, raw json.RawMessage) (any, error) {
+	var s string
+	err := json.Unmarshal(raw, &s)
+	return s, err
+}
+
+// TestCheckpointCarriesFramesInFlight round-trips a layer holding a
+// delayed bus frame, a held bus frame and a delayed broker frame
+// through JSON onto a fresh rig, and requires the restored layer to
+// release exactly what the donor releases, at the same clock readings.
+func TestCheckpointCarriesFramesInFlight(t *testing.T) {
+	type world struct {
+		r      *rig
+		broker *mqttlite.Broker
+		times  []float64
+	}
+	build := func() *world {
+		w := &world{r: newRig(t, 3), broker: mqttlite.NewBroker()}
+		w.r.layer.AttachBroker(w.broker, func(topic string) string { return "u1" })
+		if _, err := w.broker.Subscribe("alerts/#", func(m mqttlite.Message) {
+			w.r.got = append(w.r.got, m.Topic+":"+string(m.Payload))
+			w.times = append(w.times, w.r.clock.Now())
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	donor := build()
+	lk := donor.r.layer.Link("u1")
+	lk.SetProfile(Profile{DelayProb: 1, DelayMinS: 1, DelayMaxS: 3})
+	_ = donor.r.pub.Publish(0, "delayed")
+	_ = donor.broker.Publish("alerts/ids/u1", []byte("alert"), false)
+	lk.SetProfile(Profile{ReorderProb: 1, HoldMaxS: 2})
+	_ = donor.r.pub.Publish(0, "held")
+	lk.SetProfile(Profile{})
+
+	st, err := donor.r.layer.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Frames) != 3 || st.Links["u1"].Pending != 3 {
+		t.Fatalf("state = %+v", st)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back State
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	resumed := build()
+	resumed.r.layer.Link("u1")
+	if err := resumed.r.layer.Restore(back, decodeString); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*world{donor, resumed} {
+		w.r.clock.AdvanceTo(1.5)
+		_ = w.r.pub.Publish(1.5, "inline")
+		w.r.clock.AdvanceTo(10)
+	}
+	if !reflect.DeepEqual(donor.r.got, resumed.r.got) || !reflect.DeepEqual(donor.times, resumed.times) {
+		t.Fatalf("restored layer diverges: %v at %v vs %v at %v",
+			resumed.r.got, resumed.times, donor.r.got, donor.times)
+	}
+	if a, b := donor.r.layer.Stats(), resumed.r.layer.Stats(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("stats diverge: %+v vs %+v", b, a)
+	}
+	checkConservation(t, resumed.r.layer.Link("u1").Stats())
+}
+
+// TestReleaseTiming pins the release contract the world step relies
+// on: a queued frame is delivered with the clock reading its due time,
+// and a frame queued by that delivery, due before the step's end, is
+// released within the same advance.
+func TestReleaseTiming(t *testing.T) {
+	r := newRig(t, 1)
+	r.layer.Link("u1").SetProfile(Profile{DelayProb: 1, DelayMinS: 0.25, DelayMaxS: 0.25})
+	var at []float64
+	if _, err := r.bus.Subscribe("/uav/u1/status", func(m rosbus.Message) {
+		at = append(at, r.clock.Now())
+		if m.Payload == "first" {
+			_ = r.pub.Publish(r.clock.Now(), "second")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = r.pub.Publish(0, "first")
+	r.clock.AdvanceTo(1)
+	if !reflect.DeepEqual(r.got, []string{"first", "second"}) || !reflect.DeepEqual(at, []float64{0.25, 0.5}) {
+		t.Fatalf("delivered %v at %v, want [first second] at [0.25 0.5]", r.got, at)
+	}
+	if r.clock.Now() != 1 {
+		t.Fatalf("clock at %v after the advance, want 1", r.clock.Now())
 	}
 }

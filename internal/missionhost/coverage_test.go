@@ -171,21 +171,28 @@ func TestRecoverIgnoresStrayEntries(t *testing.T) {
 }
 
 func TestRecoverRejectsCorruptMeta(t *testing.T) {
-	for name, meta := range map[string]string{
-		"corrupt-json": `{"spec":`,
-		"unknown-mode": `{"spec":{"id":"bad","uavs":2,"persons":2,"horizon_s":60},"mode":"wat"}`,
+	for name, metas := range map[string][]string{
+		"corrupt-json": {`{"spec":`},
+		// "replay" is a retired park mode: parks are "checkpoint" or
+		// "final" only.
+		"unknown-mode": {
+			`{"spec":{"id":"bad","uavs":2,"persons":2,"horizon_s":60},"mode":"wat"}`,
+			`{"spec":{"id":"bad","uavs":2,"persons":2,"horizon_s":60},"mode":"replay","replay_ticks":7}`,
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			pd := filepath.Join(dir, "bad")
-			if err := os.MkdirAll(pd, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(pd, "meta.json"), []byte(meta), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := New(Config{ParkDir: dir}); err == nil {
-				t.Fatal("New accepted corrupt park metadata")
+			for _, meta := range metas {
+				dir := t.TempDir()
+				pd := filepath.Join(dir, "bad")
+				if err := os.MkdirAll(pd, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(pd, "meta.json"), []byte(meta), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := New(Config{ParkDir: dir}); err == nil {
+					t.Fatalf("New accepted corrupt park metadata %s", meta)
+				}
 			}
 		})
 	}

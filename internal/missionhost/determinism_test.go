@@ -128,3 +128,44 @@ func TestParkAtTickZero(t *testing.T) {
 		}
 	}
 }
+
+// TestParkNeverAdvancesMission parks every archetype mid-flight, with
+// link frames typically in flight, and requires the park to leave the
+// mission at exactly the tick it was parked at: a checkpoint carries
+// the frames, so nothing has to tick toward a quiet boundary. The
+// rehydrated mission must still finish on the standalone digest.
+func TestParkNeverAdvancesMission(t *testing.T) {
+	for _, arch := range []string{"maritime_sar", "urban_canyon", "multi_site"} {
+		spec := Spec{ID: "p", Seed: 2, Archetype: arch, TickBudget: 60}
+		t.Run(arch, func(t *testing.T) {
+			want := flyStandalone(t, spec)
+			h := newTestHost(t, Config{})
+			if _, err := h.Create(spec); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			h.Round()
+			before, err := h.Info("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Park("p"); err != nil {
+				t.Fatalf("Park: %v", err)
+			}
+			after, err := h.Info("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Tick != before.Tick || after.TimeS != before.TimeS {
+				t.Fatalf("Park advanced the mission from tick %d (t=%v) to tick %d (t=%v)",
+					before.Tick, before.TimeS, after.Tick, after.TimeS)
+			}
+			if err := h.Resume("p"); err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			roundsUntilDone(t, h, "p", 5000)
+			if got, err := h.Digest("p"); err != nil || got != want {
+				t.Fatalf("rehydrated digest %s (err %v) != standalone %s", got, err, want)
+			}
+		})
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"sesame/internal/flightrec"
 	"sesame/internal/obsv"
 	"sesame/internal/platform"
-	"sesame/internal/uavsim"
 )
 
 // Registry error kinds; the HTTP layer maps them to status codes.
@@ -166,7 +165,6 @@ type Mission struct {
 	snap atomic.Pointer[Snapshot]
 
 	mu      sync.Mutex // the tick lock: guards everything below
-	world   *uavsim.World
 	p       *platform.Platform
 	end     float64
 	seq     uint64
@@ -176,13 +174,6 @@ type Mission struct {
 	// digest is persisted when a finished mission parks, so Digest
 	// works without rehydrating a platform that no longer exists.
 	digest string
-	// parkMode records how the parked state was captured: a flightrec
-	// checkpoint, a replay recipe, or the final state of a finished
-	// mission.
-	parkMode string
-	// replayTicks is the rebuild recipe of a replay park: tick the
-	// freshly built Spec this many times.
-	replayTicks uint64
 
 	subsMu     sync.Mutex
 	subs       map[*Subscriber]struct{}
@@ -190,25 +181,20 @@ type Mission struct {
 }
 
 // parkMeta is the on-disk identity of a parked mission. Mode
-// "checkpoint" parks carry a flightrec checkpoint in box/; "replay"
-// parks rebuild the Spec and re-tick it ReplayTicks times (the
-// fallback for missions whose link traffic never leaves the event
-// queue quiescent); "final" parks are finished missions and persist
-// only their digest.
+// "checkpoint" parks carry a flightrec checkpoint in box/; "final"
+// parks are finished missions and persist only their digest.
 type parkMeta struct {
-	Spec        Spec      `json:"spec"`
-	Mode        string    `json:"mode"`
-	ReplayTicks uint64    `json:"replay_ticks,omitempty"`
-	Done        bool      `json:"done"`
-	Failure     string    `json:"failure,omitempty"`
-	Digest      string    `json:"digest,omitempty"`
-	Snapshot    *Snapshot `json:"snapshot"`
+	Spec     Spec      `json:"spec"`
+	Mode     string    `json:"mode"`
+	Done     bool      `json:"done"`
+	Failure  string    `json:"failure,omitempty"`
+	Digest   string    `json:"digest,omitempty"`
+	Snapshot *Snapshot `json:"snapshot"`
 }
 
 // Park modes.
 const (
 	parkCheckpoint = "checkpoint"
-	parkReplay     = "replay"
 	parkFinal      = "final"
 )
 
@@ -266,14 +252,13 @@ func (h *Host) recover() error {
 			return fmt.Errorf("missionhost: recover %s: spec names mission %q", e.Name(), meta.Spec.ID)
 		}
 		switch meta.Mode {
-		case parkCheckpoint, parkReplay, parkFinal:
+		case parkCheckpoint, parkFinal:
 		default:
 			return fmt.Errorf("missionhost: recover %s: unknown park mode %q", e.Name(), meta.Mode)
 		}
 		m := &Mission{
 			host: h, id: meta.Spec.ID, spec: meta.Spec,
 			parked: true, done: meta.Done, failure: meta.Failure, digest: meta.Digest,
-			parkMode: meta.Mode, replayTicks: meta.ReplayTicks,
 			subs: make(map[*Subscriber]struct{}),
 		}
 		if meta.Snapshot != nil {
@@ -316,7 +301,7 @@ func (h *Host) Create(spec Spec) (Info, error) {
 		return Info{}, err
 	}
 	m := &Mission{host: h, id: spec.ID, spec: spec, subs: make(map[*Subscriber]struct{})}
-	m.world, m.p, m.end = b.World, b.Platform, b.End
+	m.p, m.end = b.Platform, b.End
 	m.lastAccess.Store(h.rounds.Load())
 	m.mu.Lock()
 	m.publishLocked()
@@ -414,7 +399,7 @@ func (h *Host) Delete(id string) error {
 	}
 	if m.p != nil {
 		m.p.Close()
-		m.p, m.world = nil, nil
+		m.p = nil
 	}
 	m.parked = true
 	m.mu.Unlock()
@@ -504,7 +489,7 @@ func (m *Mission) stepLocked() (progressed bool, err error) {
 	if m.done || m.parked || m.p == nil {
 		return false, nil
 	}
-	if m.world.Clock.Now() >= m.end {
+	if m.p.World.Clock.Now() >= m.end {
 		m.done = true
 		m.publishLocked()
 		return false, nil
@@ -529,7 +514,7 @@ func (m *Mission) publishLocked() {
 	snap := &Snapshot{Mission: m.id, Seq: m.seq, Done: m.done, Error: m.failure}
 	if m.p != nil {
 		snap.Tick = m.p.Ticks()
-		snap.Time = m.world.Clock.Now()
+		snap.Time = m.p.World.Clock.Now()
 		snap.Status = m.p.Status()
 	} else if prev := m.snap.Load(); prev != nil {
 		snap.Tick, snap.Time, snap.Status = prev.Tick, prev.Time, prev.Status
@@ -553,27 +538,12 @@ func (m *Mission) touch() { m.lastAccess.Store(m.host.rounds.Load()) }
 
 func (m *Mission) parkDir() string { return filepath.Join(m.host.parkRoot, m.id) }
 
-// quiesceSeekTicks bounds how far park chases a quiescent tick
-// boundary before falling back to a replay park.
-const quiesceSeekTicks = 8
-
 // parkLocked checkpoints the mission through the flightrec path (or
-// records a replay recipe / final digest) and drops its platform from
-// memory. Requires m.mu.
+// records the final digest of a finished one) at its current tick and
+// drops its platform from memory. Requires m.mu.
 func (m *Mission) parkLocked() error {
 	if m.parked || m.p == nil {
 		return nil
-	}
-	// A flightrec checkpoint needs a quiescent event queue. Tick
-	// toward the next naturally quiescent boundary — normal mission
-	// progress, published as usual, so the rehydrated run still
-	// replays the standalone one. Missions whose link traffic keeps
-	// frames perpetually in flight never quiesce; those park as a
-	// replay recipe instead.
-	for i := 0; i < quiesceSeekTicks && !m.done && m.world.Clock.Pending() > 0; i++ {
-		if _, err := m.stepLocked(); err != nil {
-			break // failure state is itself parkable (digest persisted)
-		}
 	}
 	meta := parkMeta{Spec: m.spec, Done: m.done, Failure: m.failure, Mode: parkCheckpoint}
 	dir := m.parkDir()
@@ -583,14 +553,10 @@ func (m *Mission) parkLocked() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	switch {
-	case m.done:
+	if m.done {
 		meta.Mode = parkFinal
 		meta.Digest = MissionDigest(m.p)
-	case m.world.Clock.Pending() > 0:
-		meta.Mode = parkReplay
-		meta.ReplayTicks = m.p.Ticks()
-	default:
+	} else {
 		ckpt, err := m.p.Checkpoint()
 		if err != nil {
 			return fmt.Errorf("missionhost: park %s: %w", m.id, err)
@@ -603,7 +569,7 @@ func (m *Mission) parkLocked() error {
 		if err != nil {
 			return fmt.Errorf("missionhost: park %s: %w", m.id, err)
 		}
-		if err := rec.RecordSnapshot(flightrec.Snapshot{Tick: ckpt.Tick, Time: m.world.Clock.Now(), State: state}); err != nil {
+		if err := rec.RecordSnapshot(flightrec.Snapshot{Tick: ckpt.Tick, Time: m.p.World.Clock.Now(), State: state}); err != nil {
 			rec.Close()
 			return fmt.Errorf("missionhost: park %s: %w", m.id, err)
 		}
@@ -620,10 +586,8 @@ func (m *Mission) parkLocked() error {
 		return err
 	}
 	m.digest = meta.Digest
-	m.parkMode = meta.Mode
-	m.replayTicks = meta.ReplayTicks
 	m.p.Close()
-	m.p, m.world = nil, nil
+	m.p = nil
 	m.parked = true
 	m.host.parks.Add(1)
 	m.host.met.parksTotal.inc(1)
@@ -643,36 +607,11 @@ func (m *Mission) rehydrateLocked() (revived bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
 	}
-	if m.parkMode == parkReplay {
-		// Replay recipe: the determinism contract makes re-ticking the
-		// rebuilt Spec bit-identical to the parked run.
-		for b.Platform.Ticks() < m.replayTicks && b.World.Clock.Now() < b.End {
-			if err := b.Platform.Tick(); err != nil {
-				b.Platform.Close()
-				return false, fmt.Errorf("missionhost: rehydrate %s: replay: %w", m.id, err)
-			}
-		}
-	} else {
-		snap, hdr, err := flightrec.LatestSnapshot(filepath.Join(m.parkDir(), "box"), 0)
-		if err != nil {
-			b.Platform.Close()
-			return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
-		}
-		if hdr.ConfigDigest != b.Platform.ConfigDigest() {
-			b.Platform.Close()
-			return false, fmt.Errorf("missionhost: rehydrate %s: checkpoint is from a different configuration", m.id)
-		}
-		var ps platform.PlatformSnapshot
-		if err := json.Unmarshal(snap.State, &ps); err != nil {
-			b.Platform.Close()
-			return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
-		}
-		if err := b.Platform.RestoreCheckpoint(&ps); err != nil {
-			b.Platform.Close()
-			return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
-		}
+	if _, err := b.Platform.RestoreRecording(filepath.Join(m.parkDir(), "box"), 0); err != nil {
+		b.Platform.Close()
+		return false, fmt.Errorf("missionhost: rehydrate %s: %w", m.id, err)
 	}
-	m.world, m.p, m.end = b.World, b.Platform, b.End
+	m.p, m.end = b.Platform, b.End
 	m.parked = false
 	m.publishLocked()
 	if err := os.RemoveAll(m.parkDir()); err != nil {
@@ -935,7 +874,7 @@ func (h *Host) Close() {
 		m.mu.Lock()
 		if m.p != nil {
 			m.p.Close()
-			m.p, m.world = nil, nil
+			m.p = nil
 			m.parked = true
 		}
 		m.mu.Unlock()

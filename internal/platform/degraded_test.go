@@ -14,9 +14,10 @@ import (
 
 // attachLinkLayer wraps the platform's bus and alert broker in a
 // linksim fault layer routed per UAV, the way the degraded-comms
-// experiments do.
+// experiments do, and hands it to the platform for checkpoints.
 func attachLinkLayer(p *Platform) *linksim.Layer {
 	layer := linksim.New(p.World.Clock, "degraded")
+	p.SetLinks(layer)
 	layer.AttachBus(p.World.Bus)
 	layer.AttachBroker(p.Broker, func(topic string) string {
 		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {

@@ -29,6 +29,7 @@ import (
 	"sesame/internal/flightrec"
 	"sesame/internal/geo"
 	"sesame/internal/ids"
+	"sesame/internal/linksim"
 	"sesame/internal/mqttlite"
 	"sesame/internal/obsv"
 	"sesame/internal/rosbus"
@@ -328,6 +329,9 @@ type Platform struct {
 
 	missionArea geo.Polygon
 	decision    conserts.MissionDecision
+	// links is the link-quality layer checkpoints carry (nil when
+	// the mission has none).
+	links *linksim.Layer
 	// ticks counts completed platform ticks — the flight recorder's
 	// checkpoint coordinate.
 	ticks uint64
@@ -339,9 +343,6 @@ type Platform struct {
 	recDegraded bool
 	recErr      error
 	recSkipped  uint64
-	// snapOwed defers a cadence checkpoint that landed on a tick with
-	// delayed frames still parked on the clock.
-	snapOwed bool
 	// recBuf is the reused encode buffer for the per-tick recording
 	// path; the writer copies the payload, so one buffer serves all
 	// record kinds. recKeys is the reused key-sort scratch for event

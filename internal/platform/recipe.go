@@ -175,6 +175,7 @@ func (r Recipe) Build(cfg Config) (*Launch, error) {
 			links.Link(fmt.Sprintf("u%d", i)).SetProfile(r.Link.Profile)
 		}
 	}
+	p.SetLinks(links)
 	if chaosLayer != nil {
 		chaosLayer.AttachBus(w.Bus)
 		chaosLayer.AttachBroker(p.Broker)

@@ -13,8 +13,8 @@ import (
 )
 
 // replayScenario is one record/crash/resume regime. Scenarios with
-// link=true run behind a lossy linksim layer, the regime where delayed
-// frames force the recorder to defer checkpoints to quiescent ticks.
+// link=true run behind a duplicating linksim layer, whose counters the
+// checkpoints carry.
 type replayScenario struct {
 	name    string
 	cfg     func() Config

@@ -28,6 +28,7 @@ import (
 	"sesame/internal/flightrec"
 	"sesame/internal/geo"
 	"sesame/internal/ids"
+	"sesame/internal/linksim"
 	"sesame/internal/sar"
 	"sesame/internal/security"
 	"sesame/internal/uavsim"
@@ -99,6 +100,11 @@ func (p *Platform) ConfigDigest() string {
 // recorder, attach it — is the one external callers use.
 func (p *Platform) SetRecorder(rec *flightrec.Recorder) { p.cfg.Recorder = rec }
 
+// SetLinks hands the platform the link-quality layer its telemetry
+// crosses, so checkpoints carry the layer's frames in flight and its
+// counters. Recipe.Build does this for the layer it builds.
+func (p *Platform) SetLinks(l *linksim.Layer) { p.links = l }
+
 // monitorBlob is one runtime monitor's checkpointed state, keyed by
 // the monitor's chain name so restore matches it back up.
 type monitorBlob struct {
@@ -135,8 +141,9 @@ type uavCheckpoint struct {
 }
 
 // PlatformSnapshot is the full checkpoint the flight recorder stores:
-// the world (vehicles, RNG streams, clock), the mission plan, every
-// technology's incremental state and the platform's own bookkeeping.
+// the world (vehicles, RNG streams, clock), the link layer's frames in
+// flight, the mission plan, every technology's incremental state and
+// the platform's own bookkeeping.
 type PlatformSnapshot struct {
 	Tick         uint64                `json:"tick"`
 	ConfigDigest string                `json:"config_digest"`
@@ -152,23 +159,22 @@ type PlatformSnapshot struct {
 	Drops        DropCounters          `json:"drops"`
 	Retries      RetryCounters         `json:"retries"`
 	UAVs         []uavCheckpoint       `json:"uavs"`
+	// Links is absent when the platform has no link layer; checkpoints
+	// written before links were checkpointed lack it too, and all of
+	// those were taken with no frame in flight.
+	Links *linksim.State `json:"links,omitempty"`
 }
 
-// Checkpoint exports the platform's full state. The mission must have
-// started and the clock must be quiescent (no delayed frames in
-// flight) — the recorder defers cadence checkpoints until both hold.
+// Checkpoint exports the platform's full state at any tick boundary
+// after StartMission.
 func (p *Platform) Checkpoint() (*PlatformSnapshot, error) {
 	if p.mission == nil {
 		return nil, errors.New("platform: checkpoint before StartMission")
 	}
-	ws, err := p.World.Snapshot()
-	if err != nil {
-		return nil, err
-	}
 	s := &PlatformSnapshot{
 		Tick:         p.ticks,
 		ConfigDigest: p.ConfigDigest(),
-		World:        ws,
+		World:        p.World.Snapshot(),
 		Mission:      p.mission.State(),
 		Avail:        p.avail.State(),
 		MissionArea:  append(geo.Polygon(nil), p.missionArea...),
@@ -180,6 +186,13 @@ func (p *Platform) Checkpoint() (*PlatformSnapshot, error) {
 	}
 	for k, v := range p.dispatched {
 		s.Dispatched[k] = v
+	}
+	if p.links != nil {
+		st, err := p.links.State()
+		if err != nil {
+			return nil, err
+		}
+		s.Links = &st
 	}
 	if p.Security != nil {
 		st := p.Security.State()
@@ -231,18 +244,13 @@ func (p *Platform) Checkpoint() (*PlatformSnapshot, error) {
 	return s, nil
 }
 
-// drainCap bounds the restore drain loop; the production clock only
-// carries short-lived delayed-frame closures, so hitting this means a
-// scenario scheduled unbounded recurring work before restoring.
-const drainCap = 1 << 20
-
 // RestoreCheckpoint overlays a checkpoint onto this platform. The
 // caller must have rebuilt the scenario the way the recorded run began
-// — same world/fleet builder and seed, same Config, StartMission over
-// the same area, and the same fault schedule registered (faults the
-// checkpoint already consumed are dropped here). Pending clock events
-// left over from the rebuild's climb-out are drained first; whatever
-// state their delivery perturbs is overwritten by the overlay.
+// — same world/fleet builder and seed, same Config, the same link
+// layer handed over (SetLinks), StartMission over the same area, and
+// the same fault schedule registered (faults the checkpoint already
+// consumed are dropped here). Frames the rebuild's climb-out left in
+// flight are replaced by the checkpoint's.
 func (p *Platform) RestoreCheckpoint(s *PlatformSnapshot) error {
 	if s == nil {
 		return errors.New("platform: nil checkpoint")
@@ -257,18 +265,24 @@ func (p *Platform) RestoreCheckpoint(s *PlatformSnapshot) error {
 	if len(s.UAVs) != len(p.order) {
 		return fmt.Errorf("platform: checkpoint has %d UAVs, platform has %d", len(s.UAVs), len(p.order))
 	}
-	for i := 0; p.World.Clock.Pending() > 0; i++ {
-		if i >= drainCap {
-			return errors.New("platform: restore drain did not quiesce the clock")
-		}
-		p.World.Clock.Step()
-	}
 	if now := p.World.Clock.Now(); now > s.World.Time {
 		return fmt.Errorf("platform: rebuilt scenario at t=%.3f is already past checkpoint t=%.3f",
 			now, s.World.Time)
 	}
+	if s.Links != nil && p.links == nil {
+		return errors.New("platform: checkpoint carries link state but the platform has no link layer")
+	}
 	if err := p.World.RestoreSnapshot(s.World); err != nil {
 		return err
+	}
+	if p.links != nil {
+		var st linksim.State
+		if s.Links != nil {
+			st = *s.Links
+		}
+		if err := p.links.Restore(st, uavsim.DecodeTelemetry); err != nil {
+			return err
+		}
 	}
 	// Faults the recorded run's ticks swept (At <= checkpoint time) live
 	// on in the vehicle snapshots. A tick-0 checkpoint swept none: faults
@@ -304,8 +318,8 @@ func (p *Platform) RestoreCheckpoint(s *PlatformSnapshot) error {
 		if st == nil {
 			return fmt.Errorf("platform: checkpoint UAV %q not in fleet", uc.ID)
 		}
-		// Drop any override the drain's side effects may have installed;
-		// the colloc monitor blob reinstalls it when a landing is active.
+		// Drop any override the rebuild may have installed; the colloc
+		// monitor blob reinstalls it when a landing is active.
 		st.uav.GuidanceOverride = nil
 		st.collocCtrl = nil
 		st.action = conserts.UAVAction(uc.Action)
@@ -346,6 +360,25 @@ func (p *Platform) RestoreCheckpoint(s *PlatformSnapshot) error {
 		}
 	}
 	return nil
+}
+
+// RestoreRecording overlays the newest checkpoint a flight recording
+// holds at or before maxTick (0 = the newest) and returns its tick. The
+// recording must come from this platform's configuration; the caller
+// rebuilds the scenario as for RestoreCheckpoint.
+func (p *Platform) RestoreRecording(dir string, maxTick uint64) (uint64, error) {
+	snap, hdr, err := flightrec.LatestSnapshot(dir, maxTick)
+	if err != nil {
+		return 0, err
+	}
+	if hdr.ConfigDigest != p.ConfigDigest() {
+		return 0, errors.New("platform: checkpoint is from a different configuration")
+	}
+	var ps PlatformSnapshot
+	if err := json.Unmarshal(snap.State, &ps); err != nil {
+		return 0, err
+	}
+	return snap.Tick, p.RestoreCheckpoint(&ps)
 }
 
 // restore overwrites the atomic drop counters from a snapshot.
@@ -526,9 +559,9 @@ func (p *Platform) recSkip(n uint64) {
 }
 
 // recordTick appends the per-tick summary, the bus summary and — every
-// SnapshotEvery ticks, deferred until the clock is quiescent — a full
-// checkpoint. Called by Tick after the pipeline completes; recording
-// runs entirely in the serial phase, so no synchronization is needed.
+// SnapshotEvery ticks — a full checkpoint. Called by Tick after the
+// pipeline completes; recording runs entirely in the serial phase, so
+// no synchronization is needed.
 // Writer failures degrade the recorder (see degradeRecorder) instead
 // of failing the tick; only checkpoint-serialization errors — platform
 // state bugs, not storage faults — still surface to the caller.
@@ -551,13 +584,7 @@ func (p *Platform) recordTick() error {
 		p.degradeRecorder(now, err)
 		return nil
 	}
-	if rec.ShouldSnapshot(p.ticks) {
-		p.snapOwed = true
-	}
-	// A checkpoint needs a quiescent clock (delayed link frames cannot
-	// serialize); when the cadence lands on a busy tick the snapshot is
-	// owed and taken on the next quiet one.
-	if p.snapOwed && p.mission != nil && p.World.Clock.Pending() == 0 {
+	if rec.ShouldSnapshot(p.ticks) && p.mission != nil {
 		snap, err := p.Checkpoint()
 		if err != nil {
 			return err
@@ -570,7 +597,6 @@ func (p *Platform) recordTick() error {
 			p.degradeRecorder(now, err)
 			return nil
 		}
-		p.snapOwed = false
 	}
 	return nil
 }

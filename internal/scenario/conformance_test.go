@@ -112,20 +112,6 @@ func tickN(t *testing.T, sc *scenario.Scenario, p *platform.Platform, n int, tag
 	}
 }
 
-// drainClock fires every pending clock event (delayed link frames) at
-// its scheduled stamp, the quiescence Checkpoint requires. The same
-// drain happens on both sides of a checkpoint pair, so the pair stays
-// comparable.
-func drainClock(t *testing.T, p *platform.Platform) {
-	t.Helper()
-	for i := 0; p.World.Clock.Pending() > 0; i++ {
-		if i >= 1<<20 {
-			t.Fatal("clock did not quiesce")
-		}
-		p.World.Clock.Step()
-	}
-}
-
 // fly launches the scenario, runs it for ticks with invariant checks,
 // and returns its digest.
 func fly(t *testing.T, sc *scenario.Scenario, workers, cells, ticks int, tag string) string {
@@ -179,7 +165,6 @@ func TestScenarioProperty(t *testing.T) {
 			// restore onto a pooled rebuild, fly both to the same end.
 			donor := launch(t, sc, 1, 1)
 			tickN(t, sc, donor.Platform, ticks/2, "donor")
-			drainClock(t, donor.Platform)
 			snap, err := donor.Platform.Checkpoint()
 			if err != nil {
 				t.Fatalf("checkpoint: %v", err)

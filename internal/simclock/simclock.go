@@ -1,28 +1,28 @@
-// Package simclock provides the deterministic discrete-event simulation
-// kernel used by the UAV world model and the experiment harness. It
+// Package simclock provides the deterministic simulation time base
+// used by the UAV world model and the experiment harness. It
 // substitutes for the wall-clock/Gazebo time base the paper's field
-// trials used: every stochastic component draws from seeded RNG streams
-// owned by the kernel, so an experiment re-runs bit-for-bit for a given
-// seed.
+// trials used: the clock keeps simulation time and a family of seeded
+// RNG streams, and every stochastic component draws from those streams,
+// so an experiment re-runs bit-for-bit for a given seed. The clock
+// holds no scheduled work of its own: components with work in flight
+// (linksim's delayed frames) keep it as data and release it from a
+// hook run as the world advances, so a checkpoint can carry it.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
 )
 
-// Clock is a discrete-event simulation clock with an event queue and a
-// family of named, independently seeded random streams. The zero value
-// is not usable; call New.
+// Clock is a simulation clock with a family of named, independently
+// seeded random streams. The zero value is not usable; call New.
 type Clock struct {
 	now     float64
-	queue   eventQueue
-	seq     uint64 // tie-breaker for same-time events (FIFO)
 	seed    int64
 	streams map[string]*countingSource
 	rands   map[string]*rand.Rand
+	hooks   []func(until float64)
 }
 
 // New returns a clock starting at t=0 whose random streams derive from
@@ -163,105 +163,34 @@ func (c *Clock) RestoreStreams(states []StreamState) {
 	}
 }
 
-// SetNow jumps the clock to t without running events. It is the restore
-// counterpart of RunUntil: callers must only use it on a quiescent
-// clock (Pending() == 0), since queued events scheduled before t would
-// otherwise fire late. Moving backwards panics like Schedule does.
-func (c *Clock) SetNow(t float64) {
-	if t < c.now {
-		panic(fmt.Sprintf("simclock: set now %v before now %v", t, c.now))
-	}
-	if c.queue.Len() > 0 {
-		panic("simclock: SetNow on a non-quiescent clock")
-	}
-	c.now = t
+// OnAdvance registers fn as a release hook: every AdvanceTo runs it
+// before the clock reaches its target time, and fn may step the clock
+// forward with SetNow (never past the target) while it delivers work
+// that fell due. Hooks are construction-time wiring, like bus
+// subscriptions: they are never serialized, and a rebuilt mission
+// registers them again. Several hooks run in registration order.
+func (c *Clock) OnAdvance(fn func(until float64)) {
+	c.hooks = append(c.hooks, fn)
 }
 
-// Event is a scheduled callback.
-type event struct {
-	at   float64
-	seq  uint64
-	name string
-	fn   func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Schedule queues fn to run at absolute simulation time at. Scheduling
-// in the past (at < Now) panics: it is always a logic error in a
-// discrete-event model.
-func (c *Clock) Schedule(at float64, name string, fn func()) {
-	if at < c.now {
-		panic(fmt.Sprintf("simclock: schedule %q at %v before now %v", name, at, c.now))
-	}
-	c.seq++
-	heap.Push(&c.queue, &event{at: at, seq: c.seq, name: name, fn: fn})
-}
-
-// After queues fn to run delay seconds from now.
-func (c *Clock) After(delay float64, name string, fn func()) {
-	c.Schedule(c.now+delay, name, fn)
-}
-
-// Step runs the next queued event, advancing the clock to its time. It
-// reports whether an event was run.
-func (c *Clock) Step() bool {
-	if c.queue.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&c.queue).(*event)
-	c.now = e.at
-	e.fn()
-	return true
-}
-
-// RunUntil executes queued events in order until the queue is empty or
-// the next event is after t, then sets the clock to t. It returns the
-// number of events executed.
-func (c *Clock) RunUntil(t float64) int {
-	n := 0
-	for c.queue.Len() > 0 && c.queue[0].at <= t {
-		c.Step()
-		n++
+// AdvanceTo runs the release hooks up to t, then sets the clock to t.
+// An earlier t leaves the clock where it is.
+func (c *Clock) AdvanceTo(t float64) {
+	for _, fn := range c.hooks {
+		fn(t)
 	}
 	if t > c.now {
 		c.now = t
 	}
-	return n
 }
 
-// Pending returns the number of queued events.
-func (c *Clock) Pending() int { return c.queue.Len() }
-
-// Ticker invokes fn(now) every interval seconds starting at the next
-// interval boundary after now, until fn returns false.
-func (c *Clock) Ticker(interval float64, name string, fn func(now float64) bool) {
-	if interval <= 0 {
-		panic("simclock: non-positive ticker interval")
+// SetNow jumps the clock to t without running the release hooks: the
+// restore path uses it, and so do hooks stepping through due times.
+// Moving backwards panics: it is always a logic error in a
+// discrete-time model.
+func (c *Clock) SetNow(t float64) {
+	if t < c.now {
+		panic(fmt.Sprintf("simclock: set now %v before now %v", t, c.now))
 	}
-	var tick func()
-	tick = func() {
-		if fn(c.now) {
-			c.After(interval, name, tick)
-		}
-	}
-	c.After(interval, name, tick)
+	c.now = t
 }

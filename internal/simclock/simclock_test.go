@@ -5,119 +5,6 @@ import (
 	"testing"
 )
 
-func TestScheduleOrdering(t *testing.T) {
-	c := New(1)
-	var got []string
-	c.Schedule(3, "c", func() { got = append(got, "c") })
-	c.Schedule(1, "a", func() { got = append(got, "a") })
-	c.Schedule(2, "b", func() { got = append(got, "b") })
-	for c.Step() {
-	}
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-	if c.Now() != 3 {
-		t.Fatalf("Now = %v, want 3", c.Now())
-	}
-}
-
-func TestSameTimeFIFO(t *testing.T) {
-	c := New(1)
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		c.Schedule(1, "e", func() { got = append(got, i) })
-	}
-	c.RunUntil(1)
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("FIFO violated: %v", got)
-		}
-	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	c := New(1)
-	c.Schedule(5, "x", func() {})
-	c.RunUntil(5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling in the past")
-		}
-	}()
-	c.Schedule(4, "bad", func() {})
-}
-
-func TestRunUntilAdvancesClock(t *testing.T) {
-	c := New(1)
-	ran := false
-	c.Schedule(2, "e", func() { ran = true })
-	n := c.RunUntil(10)
-	if n != 1 || !ran {
-		t.Fatalf("n=%d ran=%v", n, ran)
-	}
-	if c.Now() != 10 {
-		t.Fatalf("Now = %v, want 10", c.Now())
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("Pending = %d", c.Pending())
-	}
-}
-
-func TestRunUntilLeavesFutureEvents(t *testing.T) {
-	c := New(1)
-	c.Schedule(20, "late", func() {})
-	if n := c.RunUntil(10); n != 0 {
-		t.Fatalf("ran %d events, want 0", n)
-	}
-	if c.Pending() != 1 {
-		t.Fatal("future event lost")
-	}
-}
-
-func TestAfter(t *testing.T) {
-	c := New(1)
-	c.Schedule(5, "setup", func() {
-		c.After(3, "later", func() {
-			if c.Now() != 8 {
-				t.Errorf("After fired at %v, want 8", c.Now())
-			}
-		})
-	})
-	c.RunUntil(100)
-}
-
-func TestTicker(t *testing.T) {
-	c := New(1)
-	var times []float64
-	c.Ticker(2, "tick", func(now float64) bool {
-		times = append(times, now)
-		return now < 6
-	})
-	c.RunUntil(100)
-	want := []float64{2, 4, 6}
-	if len(times) != len(want) {
-		t.Fatalf("ticks = %v, want %v", times, want)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", times, want)
-		}
-	}
-}
-
-func TestTickerBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive interval")
-		}
-	}()
-	New(1).Ticker(0, "bad", func(float64) bool { return false })
-}
-
 func TestStreamsDeterministic(t *testing.T) {
 	a := New(42).Stream("gps")
 	b := New(42).Stream("gps")
@@ -147,20 +34,36 @@ func TestStreamsIndependent(t *testing.T) {
 	}
 }
 
-func TestStepEmpty(t *testing.T) {
+// TestAdvanceToRunsHooks pins the release-hook contract: AdvanceTo
+// hands every hook the target time, in registration order, lets a hook
+// step the clock through intermediate times, and lands on the target.
+func TestAdvanceToRunsHooks(t *testing.T) {
 	c := New(1)
-	if c.Step() {
-		t.Fatal("Step on empty queue must return false")
-	}
-}
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := New(7)
-		for j := 0; j < 100; j++ {
-			c.Schedule(float64(j%10), "e", func() {})
+	var got []float64
+	c.OnAdvance(func(until float64) {
+		got = append(got, until)
+		if until-0.5 > c.Now() {
+			c.SetNow(until - 0.5)
+			got = append(got, c.Now())
 		}
-		c.RunUntil(10)
+	})
+	c.OnAdvance(func(until float64) { got = append(got, -until) })
+	c.AdvanceTo(3)
+	want := []float64{3, 2.5, -3}
+	if len(got) != len(want) {
+		t.Fatalf("hook calls = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("hook calls = %v, want %v", got, want)
+		}
+	}
+	if c.Now() != 3 {
+		t.Fatalf("Now = %v, want 3", c.Now())
+	}
+	c.AdvanceTo(1)
+	if c.Now() != 3 {
+		t.Fatalf("AdvanceTo backwards moved the clock to %v", c.Now())
 	}
 }
 
@@ -254,15 +157,6 @@ func TestSetNow(t *testing.T) {
 			}
 		}()
 		c.SetNow(1)
-	}()
-	c.Schedule(20, "e", func() {})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("SetNow with pending events must panic")
-			}
-		}()
-		c.SetNow(30)
 	}()
 }
 

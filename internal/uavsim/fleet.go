@@ -65,18 +65,18 @@ func (w *World) AirborneCount() int { return int(w.airborne.Load()) }
 // FleetSize returns the number of vehicles in the world.
 func (w *World) FleetSize() int { return len(w.seq) }
 
-// BeginStep opens a world step of dt seconds: clock events, due fault
-// injection and the gust draw all run serially here, exactly as the
-// head of the monolithic Step does. The returned now is the step's end
+// BeginStep opens a world step of dt seconds: the clock's release
+// hooks, due fault injection and the gust draw all run serially here,
+// exactly as the head of the monolithic Step does. The returned now is the step's end
 // time, to be passed to FinishStep after the vehicles have advanced.
 func (w *World) BeginStep(dt float64) (float64, error) {
 	if dt <= 0 {
 		return 0, errors.New("uavsim: non-positive dt")
 	}
 	now := w.Clock.Now() + dt
-	// Run any clock events scheduled before now (keeps user callbacks
-	// in sync with vehicle stepping).
-	w.Clock.RunUntil(now)
+	// Release link frames that fall due inside the step before the
+	// vehicles move, at their own due times.
+	w.Clock.AdvanceTo(now)
 
 	for len(w.faults) > 0 && w.faults[0].At <= now {
 		f := w.faults[0]

@@ -62,14 +62,7 @@ func TestSplitStepMatchesStep(t *testing.T) {
 		split.StepRange(cut2, n, 1)
 		split.FinishStep(now)
 	}
-	a, err := whole.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := split.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := whole.Snapshot(), split.Snapshot()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("split-step world diverges from Step world:\n whole: %+v\n split: %+v", a, b)
 	}

@@ -1,7 +1,9 @@
 package uavsim
 
 import (
+	"encoding/json"
 	"fmt"
+	"path"
 
 	"sesame/internal/geo"
 	"sesame/internal/simclock"
@@ -192,14 +194,9 @@ type WorldSnapshot struct {
 	UAVs           []UAVSnapshot          `json:"uavs"`
 }
 
-// Snapshot exports the world state. The clock must be quiescent
-// (no pending events): delayed-frame closures parked on the clock
-// cannot be serialized, so checkpoints are only taken between ticks
-// when nothing is in flight.
-func (w *World) Snapshot() (WorldSnapshot, error) {
-	if n := w.Clock.Pending(); n != 0 {
-		return WorldSnapshot{}, fmt.Errorf("uavsim: snapshot with %d pending clock events", n)
-	}
+// Snapshot exports the world state. Frames a link layer holds in
+// flight are not world state: the layer checkpoints them itself.
+func (w *World) Snapshot() WorldSnapshot {
 	s := WorldSnapshot{
 		Time:           w.Clock.Now(),
 		Seed:           w.Clock.Seed(),
@@ -215,7 +212,7 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 	for _, id := range w.order {
 		s.UAVs = append(s.UAVs, w.uavs[id].Snapshot())
 	}
-	return s, nil
+	return s
 }
 
 // RestoreSnapshot overlays a checkpoint onto a freshly rebuilt world:
@@ -230,9 +227,6 @@ func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 	}
 	if len(s.UAVs) != len(w.order) {
 		return fmt.Errorf("uavsim: snapshot has %d UAVs, world has %d", len(s.UAVs), len(w.order))
-	}
-	if n := w.Clock.Pending(); n != 0 {
-		return fmt.Errorf("uavsim: restore onto a clock with %d pending events", n)
 	}
 	for _, us := range s.UAVs {
 		u, ok := w.uavs[us.ID]
@@ -263,4 +257,27 @@ func (w *World) DropFaultsThrough(t float64) int {
 	}
 	w.faults = w.faults[n:]
 	return n
+}
+
+// DecodeTelemetry decodes a checkpointed telemetry payload by the bus
+// topic it was published on — the restore half of the frames a link
+// layer holds in flight (linksim.Layer.Restore).
+func DecodeTelemetry(topic string, raw json.RawMessage) (any, error) {
+	switch path.Base(topic) {
+	case "status":
+		return decodeAs[StatusReport](raw)
+	case "gps":
+		return decodeAs[GPSFix](raw)
+	case "battery":
+		return decodeAs[BatteryState](raw)
+	case "health":
+		return decodeAs[HealthState](raw)
+	}
+	return nil, fmt.Errorf("uavsim: %q is not a telemetry topic", topic)
+}
+
+func decodeAs[T any](raw json.RawMessage) (any, error) {
+	var v T
+	err := json.Unmarshal(raw, &v)
+	return v, err
 }

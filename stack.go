@@ -367,6 +367,8 @@ var ErrLinkDown = linksim.ErrLinkDown
 // NewLinkLayer creates a fault layer driven by the world's clock and
 // attaches it to the world's ROS bus, so each UAV's telemetry crosses
 // its configured link. Use AttachBroker to also impair the alert path.
+// Hand it to the platform with Platform.SetLinks so checkpoints carry
+// its frames in flight.
 func NewLinkLayer(w *World, name string) *LinkLayer {
 	l := linksim.New(w.Clock, name)
 	l.AttachBus(w.Bus)
