@@ -8,6 +8,7 @@ package sesame_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sesame"
@@ -234,4 +235,68 @@ func BenchmarkPlatformTickFleet(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFinishStep measures the serial telemetry fan-out of one
+// world step at 1k UAVs: World.FinishStep publishing every vehicle's
+// status, GPS, battery and health messages on the rosbus, delivered to
+// the platform's staleness subscribers and the IDS tap. Physics runs
+// with the timer stopped, so ns/uav and allocs/uav are the publish
+// layer alone (sesamebench reports the same layer as
+// uavsim.publish_ns_per_uav and uavsim.publish_allocs_per_uav).
+func BenchmarkFinishStep(b *testing.B) {
+	const fleet = 1000
+	home := sesame.LatLng{Lat: 35.1856, Lng: 33.3823}
+	a := sesame.Destination(home, 45, 80)
+	bb := sesame.Destination(a, 90, 3000)
+	c := sesame.Destination(bb, 0, 3000)
+	d := sesame.Destination(a, 0, 3000)
+	area := sesame.Polygon{a, bb, c, d}
+	world := sesame.NewWorld(home, 1)
+	for i := 0; i < fleet; i++ {
+		if _, err := world.AddUAV(sesame.UAVConfig{ID: fmt.Sprintf("u%05d", i), Home: home}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	scene, err := sesame.NewRandomScene(area, 20, 0.2, world, "scene")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := sesame.NewPlatform(world, scene, sesame.DefaultPlatformConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.StartMission(area); err != nil {
+		b.Fatal(err)
+	}
+	// A few ordinary ticks take the fleet airborne and fill the IDS
+	// tracks before measuring.
+	for i := 0; i < 5; i++ {
+		if err := p.Tick(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var mallocs uint64
+	var ms runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		now, err := world.BeginStep(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		world.StepRange(0, fleet, 1)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		world.FinishStep(now)
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+	}
+	uavSteps := float64(b.N * fleet)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/uavSteps, "ns/uav")
+	b.ReportMetric(float64(mallocs)/uavSteps, "allocs/uav")
 }

@@ -56,7 +56,8 @@ func AlertTopic(uav string) string { return "alerts/ids/" + uav }
 // Config tunes the rule engine.
 type Config struct {
 	// AllowedPublishers maps a bus topic to the node names allowed to
-	// publish on it. Topics absent from the map are unchecked.
+	// publish on it. Topics absent from the map are unchecked. A
+	// topic's entry is read once, when the IDS first sees the topic.
 	AllowedPublishers map[string][]string
 	// MaxRateHz is the per-topic message budget; rates above it raise
 	// message-injection. Zero disables the rule.
@@ -101,12 +102,9 @@ type IDS struct {
 	mu        sync.Mutex
 	alerts    []Alert
 	pending   []Alert
-	arrival   map[string][]float64 // topic -> recent stamps
-	lastSeen  map[string]float64   // topic -> newest stamp (silence rule)
-	lastSweep float64              // newest stamp the silence sweep ran at
-	lastGPS   map[string]uavsim.GPSFix
-	lastOdo   map[string]geo.LatLng
-	hasOdo    map[string]bool
+	topics    map[string]*topicTrack
+	uavs      map[string]*uavTrack
+	lastSweep float64            // newest stamp the silence sweep ran at
 	lastHit   map[string]float64 // type+uav -> stamp of last alert
 
 	// Observability mirrors (nil when uninstrumented; all nil-safe).
@@ -132,14 +130,11 @@ func New(bus *rosbus.Bus, broker *mqttlite.Broker, cfg Config) (*IDS, error) {
 		cfg.RateWindowS = 8
 	}
 	d := &IDS{
-		cfg:      cfg,
-		broker:   broker,
-		arrival:  make(map[string][]float64),
-		lastSeen: make(map[string]float64),
-		lastGPS:  make(map[string]uavsim.GPSFix),
-		lastOdo:  make(map[string]geo.LatLng),
-		hasOdo:   make(map[string]bool),
-		lastHit:  make(map[string]float64),
+		cfg:     cfg,
+		broker:  broker,
+		topics:  make(map[string]*topicTrack),
+		uavs:    make(map[string]*uavTrack),
+		lastHit: make(map[string]float64),
 	}
 	cancel, err := bus.Tap(d.inspect)
 	if err != nil {
@@ -201,19 +196,84 @@ func uavOf(topic string) string {
 	return id
 }
 
+// topicTrack is the per-topic detection state. Everything derivable
+// from the topic name is resolved once, when the topic is first seen,
+// so inspecting a message costs one map lookup.
+type topicTrack struct {
+	name    string
+	uavID   string    // uavOf(name)
+	uav     *uavTrack // the track of uavID
+	allowed []string  // allow-list entry
+	checked bool      // the topic has an allow-list entry
+
+	// arrival holds the recent stamps of the rate rule; hasArrival
+	// records that the rule has tracked the topic.
+	arrival    []float64
+	hasArrival bool
+	// lastSeen is the newest stamp of the silence rule; armed is false
+	// until the topic carries traffic and again after it raised.
+	lastSeen float64
+	armed    bool
+}
+
+// uavTrack is the per-UAV state of the telemetry rules, keyed by the
+// UAV id the payload carries.
+type uavTrack struct {
+	gps    uavsim.GPSFix // newest usable fix (teleport rule)
+	odo    geo.LatLng    // newest odometry position (divergence rule)
+	hasOdo bool          // the divergence rule is armed
+	// Which entries the checkpoint State holds for this UAV. Restore
+	// accepts any combination and State reproduces it.
+	inGPS, inOdo, inHasOdo bool
+}
+
+// topic returns the track of name, creating it on first sight.
+// Callers hold d.mu.
+func (d *IDS) topic(name string) *topicTrack {
+	if tt, ok := d.topics[name]; ok {
+		return tt
+	}
+	id := uavOf(name)
+	allowed, checked := d.cfg.AllowedPublishers[name]
+	tt := &topicTrack{name: name, uavID: id, uav: d.uav(id), allowed: allowed, checked: checked}
+	d.topics[name] = tt
+	return tt
+}
+
+// uav returns the track of id, creating it on first sight. Callers
+// hold d.mu.
+func (d *IDS) uav(id string) *uavTrack {
+	ut, ok := d.uavs[id]
+	if !ok {
+		ut = &uavTrack{}
+		d.uavs[id] = ut
+	}
+	return ut
+}
+
+// payloadUAV returns the track of the UAV a payload names: the topic's
+// own UAV unless the payload names another.
+func (d *IDS) payloadUAV(tt *topicTrack, id string) *uavTrack {
+	if id == tt.uavID {
+		return tt.uav
+	}
+	return d.uav(id)
+}
+
 // inspect is the bus tap. Alerts are accumulated under the lock and
 // published to the broker after it is released, so broker handlers may
 // freely publish back onto the bus without deadlocking the tap.
 func (d *IDS) inspect(m rosbus.Message) {
-	uav := uavOf(m.Topic)
 	d.mu.Lock()
 	d.pending = d.pending[:0]
+	tt := d.topic(m.Topic)
+	uav := tt.uavID
 
 	// Rule 1: publisher allow-list.
-	if allowed, checked := d.cfg.AllowedPublishers[m.Topic]; checked {
+	if tt.checked {
 		d.mEvalAllow.Inc()
 		ok := false
-		for _, a := range allowed {
+		for _, a := range tt.allowed {
 			if a == m.Publisher {
 				ok = true
 				break
@@ -233,16 +293,15 @@ func (d *IDS) inspect(m rosbus.Message) {
 	// Rule 2: rate anomaly.
 	if d.cfg.MaxRateHz > 0 {
 		d.mEvalRate.Inc()
-		window := d.arrival[m.Topic]
 		cutoff := m.Stamp - d.cfg.RateWindowS
-		keep := window[:0]
-		for _, s := range window {
+		keep := tt.arrival[:0]
+		for _, s := range tt.arrival {
 			if s >= cutoff {
 				keep = append(keep, s)
 			}
 		}
 		keep = append(keep, m.Stamp)
-		d.arrival[m.Topic] = keep
+		tt.arrival, tt.hasArrival = keep, true
 		rate := float64(len(keep)) / d.cfg.RateWindowS
 		if rate > d.cfg.MaxRateHz && len(keep) >= 4 {
 			d.raise(Alert{
@@ -270,40 +329,38 @@ func (d *IDS) inspect(m rosbus.Message) {
 			// fleet-wide outage silences several topics at the same stamp,
 			// and alert order must not depend on map iteration — the
 			// downstream security events are digested.
-			var silent []string
-			for topic, last := range d.lastSeen {
-				if topic == m.Topic {
-					continue
-				}
-				if m.Stamp-last > d.cfg.SilenceTimeoutS {
-					silent = append(silent, topic)
+			var silent []*topicTrack
+			for _, other := range d.topics {
+				if other.armed && other != tt && m.Stamp-other.lastSeen > d.cfg.SilenceTimeoutS {
+					silent = append(silent, other)
 				}
 			}
-			sort.Strings(silent)
-			for _, topic := range silent {
+			sort.Slice(silent, func(i, j int) bool { return silent[i].name < silent[j].name })
+			for _, st := range silent {
 				d.raise(Alert{
 					Type:   AlertLinkSilence,
-					UAV:    uavOf(topic),
-					Topic:  topic,
-					Detail: fmt.Sprintf("no traffic for %.0f s (timeout %.0f s)", m.Stamp-d.lastSeen[topic], d.cfg.SilenceTimeoutS),
+					UAV:    st.uavID,
+					Topic:  st.name,
+					Detail: fmt.Sprintf("no traffic for %.0f s (timeout %.0f s)", m.Stamp-st.lastSeen, d.cfg.SilenceTimeoutS),
 					Stamp:  m.Stamp,
 				})
 				// Re-arm only after fresh traffic.
-				delete(d.lastSeen, topic)
+				st.lastSeen, st.armed = 0, false
 			}
 		}
-		if m.Stamp > d.lastSeen[m.Topic] {
-			d.lastSeen[m.Topic] = m.Stamp
+		if m.Stamp > tt.lastSeen {
+			tt.lastSeen, tt.armed = m.Stamp, true
 		}
 	}
 
 	// Rules 3 & 4 consume typed telemetry.
 	switch p := m.Payload.(type) {
 	case uavsim.GPSFix:
-		d.inspectGPS(m, p)
+		d.inspectGPS(m, p, tt)
 	case uavsim.StatusReport:
-		d.lastOdo[p.UAV] = p.Position
-		d.hasOdo[p.UAV] = true
+		ut := d.payloadUAV(tt, p.UAV)
+		ut.odo, ut.inOdo = p.Position, true
+		ut.hasOdo, ut.inHasOdo = true, true
 	}
 
 	toPublish := append([]Alert(nil), d.pending...)
@@ -321,12 +378,13 @@ func (d *IDS) inspect(m rosbus.Message) {
 	}
 }
 
-func (d *IDS) inspectGPS(m rosbus.Message, fix uavsim.GPSFix) {
+func (d *IDS) inspectGPS(m rosbus.Message, fix uavsim.GPSFix, tt *topicTrack) {
 	if fix.Quality == uavsim.GPSLost {
 		return
 	}
+	ut := d.payloadUAV(tt, fix.UAV)
 	// Teleport: implied speed between consecutive fixes.
-	if prev, ok := d.lastGPS[fix.UAV]; ok && fix.Stamp > prev.Stamp {
+	if prev := ut.gps; ut.inGPS && fix.Stamp > prev.Stamp {
 		d.mEvalTeleport.Inc()
 		dt := fix.Stamp - prev.Stamp
 		speed := geo.Haversine(prev.Position, fix.Position) / dt
@@ -340,12 +398,12 @@ func (d *IDS) inspectGPS(m rosbus.Message, fix uavsim.GPSFix) {
 			})
 		}
 	}
-	d.lastGPS[fix.UAV] = fix
+	ut.gps, ut.inGPS = fix, true
 
 	// GPS/odometry divergence.
-	if d.cfg.GPSDivergenceM > 0 && d.hasOdo[fix.UAV] {
+	if d.cfg.GPSDivergenceM > 0 && ut.hasOdo {
 		d.mEvalGPS.Inc()
-		div := geo.Haversine(fix.Position, d.lastOdo[fix.UAV])
+		div := geo.Haversine(fix.Position, ut.odo)
 		if div > d.cfg.GPSDivergenceM {
 			d.raise(Alert{
 				Type:   AlertGPSAnomaly,

@@ -20,33 +20,38 @@ type State struct {
 	LastHit  map[string]float64       `json:"last_hit"`
 }
 
-// State exports the detection state.
+// State exports the detection state, converting the per-topic and
+// per-UAV tracks to the checkpoint's map layout.
 func (d *IDS) State() State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := State{
 		Alerts:   append([]Alert(nil), d.alerts...),
-		Arrival:  make(map[string][]float64, len(d.arrival)),
-		LastSeen: make(map[string]float64, len(d.lastSeen)),
-		LastGPS:  make(map[string]uavsim.GPSFix, len(d.lastGPS)),
-		LastOdo:  make(map[string]geo.LatLng, len(d.lastOdo)),
-		HasOdo:   make(map[string]bool, len(d.hasOdo)),
+		Arrival:  make(map[string][]float64),
+		LastSeen: make(map[string]float64),
+		LastGPS:  make(map[string]uavsim.GPSFix),
+		LastOdo:  make(map[string]geo.LatLng),
+		HasOdo:   make(map[string]bool),
 		LastHit:  make(map[string]float64, len(d.lastHit)),
 	}
-	for k, v := range d.arrival {
-		s.Arrival[k] = append([]float64(nil), v...)
+	for name, tt := range d.topics {
+		if tt.hasArrival {
+			s.Arrival[name] = append([]float64(nil), tt.arrival...)
+		}
+		if tt.armed {
+			s.LastSeen[name] = tt.lastSeen
+		}
 	}
-	for k, v := range d.lastSeen {
-		s.LastSeen[k] = v
-	}
-	for k, v := range d.lastGPS {
-		s.LastGPS[k] = v
-	}
-	for k, v := range d.lastOdo {
-		s.LastOdo[k] = v
-	}
-	for k, v := range d.hasOdo {
-		s.HasOdo[k] = v
+	for id, ut := range d.uavs {
+		if ut.inGPS {
+			s.LastGPS[id] = ut.gps
+		}
+		if ut.inOdo {
+			s.LastOdo[id] = ut.odo
+		}
+		if ut.inHasOdo {
+			s.HasOdo[id] = ut.hasOdo
+		}
 	}
 	for k, v := range d.lastHit {
 		s.LastHit[k] = v
@@ -54,31 +59,34 @@ func (d *IDS) State() State {
 	return s
 }
 
-// Restore overwrites the detection state.
+// Restore overwrites the detection state, rebuilding the tracks from
+// the checkpoint's maps.
 func (d *IDS) Restore(s State) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.alerts = append(d.alerts[:0:0], s.Alerts...)
 	d.pending = nil
-	d.arrival = make(map[string][]float64, len(s.Arrival))
+	d.topics = make(map[string]*topicTrack, len(s.Arrival))
+	d.uavs = make(map[string]*uavTrack, len(s.LastGPS))
 	for k, v := range s.Arrival {
-		d.arrival[k] = append([]float64(nil), v...)
+		tt := d.topic(k)
+		tt.arrival, tt.hasArrival = append([]float64(nil), v...), true
 	}
-	d.lastSeen = make(map[string]float64, len(s.LastSeen))
 	for k, v := range s.LastSeen {
-		d.lastSeen[k] = v
+		tt := d.topic(k)
+		tt.lastSeen, tt.armed = v, true
 	}
-	d.lastGPS = make(map[string]uavsim.GPSFix, len(s.LastGPS))
 	for k, v := range s.LastGPS {
-		d.lastGPS[k] = v
+		ut := d.uav(k)
+		ut.gps, ut.inGPS = v, true
 	}
-	d.lastOdo = make(map[string]geo.LatLng, len(s.LastOdo))
 	for k, v := range s.LastOdo {
-		d.lastOdo[k] = v
+		ut := d.uav(k)
+		ut.odo, ut.inOdo = v, true
 	}
-	d.hasOdo = make(map[string]bool, len(s.HasOdo))
 	for k, v := range s.HasOdo {
-		d.hasOdo[k] = v
+		ut := d.uav(k)
+		ut.hasOdo, ut.inHasOdo = v, true
 	}
 	d.lastHit = make(map[string]float64, len(s.LastHit))
 	for k, v := range s.LastHit {

@@ -3,8 +3,9 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"net"
+	"net/netip"
 	"sort"
+	"strings"
 	"sync"
 
 	"sesame/internal/geo"
@@ -54,17 +55,27 @@ func NewDatabase(limit int) *Database {
 }
 
 // checkOrigin admits loopback and RFC1918 private addresses — the
-// "inside the network" rule of the paper's database manager.
+// "inside the network" rule of the paper's database manager. The
+// origin is an address ("ip") or an address and port ("ip:port",
+// "[ipv6]:port"); zoned addresses are not origins. It runs on every
+// write, so it parses with net/netip and picks the parser from the
+// origin's shape instead of trying one and falling back: a failed
+// parse allocates its error. A port follows the last colon only when
+// the origin is bracketed or has exactly one colon.
 func checkOrigin(origin string) error {
-	host := origin
-	if h, _, err := net.SplitHostPort(origin); err == nil {
-		host = h
+	var ip netip.Addr
+	var err error
+	if i := strings.IndexByte(origin, ':'); i >= 0 && (origin[0] == '[' || strings.IndexByte(origin[i+1:], ':') < 0) {
+		var ap netip.AddrPort
+		ap, err = netip.ParseAddrPort(origin)
+		ip = ap.Addr()
+	} else {
+		ip, err = netip.ParseAddr(origin)
 	}
-	ip := net.ParseIP(host)
-	if ip == nil {
+	if err != nil || ip.Zone() != "" {
 		return fmt.Errorf("platform: unparseable origin %q", origin)
 	}
-	if ip.IsLoopback() || ip.IsPrivate() {
+	if ip = ip.Unmap(); ip.IsLoopback() || ip.IsPrivate() {
 		return nil
 	}
 	return ErrForbiddenOrigin

@@ -71,12 +71,14 @@ type Stats struct {
 type Bus struct {
 	mu     sync.Mutex
 	topics map[string]*topicState
-	taps   map[int]Handler
+	// taps is the tap delivery list in id order (see handlerList).
+	taps   handlerList
 	nextID int
 	filter Filter
 	// depth guards against unbounded publish-from-handler recursion.
 	depth int
 	// stats
+	published      uint64
 	delivered      uint64
 	filterConsumed uint64
 	depthExceeded  uint64
@@ -89,7 +91,7 @@ type Bus struct {
 
 type topicState struct {
 	seq  uint64
-	subs map[int]Handler
+	subs handlerList
 	// stats
 	published uint64
 	// mPublished caches this topic's labeled counter so the publish
@@ -97,12 +99,38 @@ type topicState struct {
 	mPublished *obsv.Counter
 }
 
+// handlerList is a delivery list: handlers in ascending registration
+// id, which is delivery order. It is both the registry and the cached
+// snapshot dispatch runs, so a publish neither collects nor sorts.
+//
+// dispatch copies the slice header under the bus lock and runs the
+// handlers unlocked, so the list is copy-on-write: registering appends
+// (ids only grow, so order holds, and an append writes past every
+// earlier snapshot's length), and remove builds a fresh slice rather
+// than shifting entries in the backing array an in-flight dispatch
+// may be reading.
+type handlerList []registered
+
+type registered struct {
+	id int
+	h  Handler
+}
+
+// remove returns the list without id, as a fresh slice; unknown ids
+// return l unchanged.
+func (l handlerList) remove(id int) handlerList {
+	for i, r := range l {
+		if r.id == id {
+			out := make(handlerList, 0, len(l)-1)
+			return append(append(out, l[:i]...), l[i+1:]...)
+		}
+	}
+	return l
+}
+
 // NewBus returns an empty bus.
 func NewBus() *Bus {
-	return &Bus{
-		topics: make(map[string]*topicState),
-		taps:   make(map[int]Handler),
-	}
+	return &Bus{topics: make(map[string]*topicState)}
 }
 
 // Instrument mirrors the bus counters into reg. A nil registry leaves
@@ -127,8 +155,10 @@ func (b *Bus) Instrument(reg *obsv.Registry) {
 const maxPublishDepth = 32
 
 // Publisher is a handle bound to a topic and an (unverified) node name.
+// It holds the topic's state, so publishing does no topic lookup.
 type Publisher struct {
 	bus   *Bus
+	ts    *topicState
 	topic string
 	node  string
 }
@@ -142,14 +172,13 @@ func (b *Bus) Advertise(topic, node string) (*Publisher, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ensureTopic(topic)
-	return &Publisher{bus: b, topic: topic, node: node}, nil
+	return &Publisher{bus: b, ts: b.ensureTopic(topic), topic: topic, node: node}, nil
 }
 
 func (b *Bus) ensureTopic(topic string) *topicState {
 	ts, ok := b.topics[topic]
 	if !ok {
-		ts = &topicState{subs: make(map[int]Handler)}
+		ts = &topicState{}
 		if b.mPublished != nil {
 			ts.mPublished = b.mPublished.With(topic)
 		}
@@ -161,7 +190,7 @@ func (b *Bus) ensureTopic(topic string) *topicState {
 // Publish sends payload on the publisher's topic at simulation time
 // stamp. Handlers run synchronously before Publish returns.
 func (p *Publisher) Publish(stamp float64, payload interface{}) error {
-	return p.bus.publish(Message{
+	return p.bus.publish(p.ts, Message{
 		Topic:     p.topic,
 		Publisher: p.node,
 		Stamp:     stamp,
@@ -172,7 +201,7 @@ func (p *Publisher) Publish(stamp float64, payload interface{}) error {
 // Inject delivers a fully caller-controlled message, spoofed publisher
 // name included. It is how attack scenarios model a compromised node.
 func (b *Bus) Inject(msg Message) error {
-	return b.publish(msg)
+	return b.publish(nil, msg)
 }
 
 // SetFilter installs (or, with nil, removes) the bus-wide link filter.
@@ -194,7 +223,9 @@ func (b *Bus) WrapFilter(wrap func(next Filter) Filter) {
 	b.filter = wrap(b.filter)
 }
 
-func (b *Bus) publish(msg Message) error {
+// publish assigns msg its sequence number on ts (looked up by topic
+// when nil), runs the filter and dispatches.
+func (b *Bus) publish(ts *topicState, msg Message) error {
 	if msg.Topic == "" {
 		return errors.New("rosbus: empty topic")
 	}
@@ -206,9 +237,12 @@ func (b *Bus) publish(msg Message) error {
 		return fmt.Errorf("%w: %d levels (handler loop?)", ErrDepthExceeded, maxPublishDepth)
 	}
 	b.depth++
-	ts := b.ensureTopic(msg.Topic)
+	if ts == nil {
+		ts = b.ensureTopic(msg.Topic)
+	}
 	ts.seq++
 	ts.published++
+	b.published++
 	ts.mPublished.Inc()
 	msg.Seq = ts.seq
 	filter := b.filter
@@ -228,7 +262,7 @@ func (b *Bus) publish(msg Message) error {
 		}
 	}
 
-	b.dispatch(msg)
+	b.dispatch(ts, msg)
 
 	b.mu.Lock()
 	b.depth--
@@ -253,10 +287,10 @@ func (b *Bus) Deliver(msg Message) error {
 		return fmt.Errorf("%w: %d levels (handler loop?)", ErrDepthExceeded, maxPublishDepth)
 	}
 	b.depth++
-	b.ensureTopic(msg.Topic)
+	ts := b.ensureTopic(msg.Topic)
 	b.mu.Unlock()
 
-	b.dispatch(msg)
+	b.dispatch(ts, msg)
 
 	b.mu.Lock()
 	b.depth--
@@ -264,34 +298,20 @@ func (b *Bus) Deliver(msg Message) error {
 	return nil
 }
 
-// dispatch snapshots the handler set under the lock and runs the
-// handlers unlocked, in deterministic id order.
-func (b *Bus) dispatch(msg Message) {
+// dispatch snapshots ts's subscribers and the bus taps under the lock
+// and runs them unlocked: subscribers, then taps, each in id order.
+func (b *Bus) dispatch(ts *topicState, msg Message) {
 	b.mu.Lock()
-	ts := b.ensureTopic(msg.Topic)
-	subIDs := make([]int, 0, len(ts.subs))
-	for id := range ts.subs {
-		subIDs = append(subIDs, id)
-	}
-	sort.Ints(subIDs)
-	handlers := make([]Handler, 0, len(subIDs)+len(b.taps))
-	for _, id := range subIDs {
-		handlers = append(handlers, ts.subs[id])
-	}
-	tapIDs := make([]int, 0, len(b.taps))
-	for id := range b.taps {
-		tapIDs = append(tapIDs, id)
-	}
-	sort.Ints(tapIDs)
-	for _, id := range tapIDs {
-		handlers = append(handlers, b.taps[id])
-	}
+	subs, taps := ts.subs, b.taps
 	b.delivered++
 	b.mDelivered.Inc()
 	b.mu.Unlock()
 
-	for _, h := range handlers {
-		h(msg)
+	for _, r := range subs {
+		r.h(msg)
+	}
+	for _, r := range taps {
+		r.h(msg)
 	}
 }
 
@@ -299,12 +319,8 @@ func (b *Bus) dispatch(msg Message) {
 func (b *Bus) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var published uint64
-	for _, ts := range b.topics {
-		published += ts.published
-	}
 	return Stats{
-		Published:      published,
+		Published:      b.published,
 		Delivered:      b.delivered,
 		FilterConsumed: b.filterConsumed,
 		DepthExceeded:  b.depthExceeded,
@@ -323,7 +339,7 @@ func (b *Bus) Subscribe(topic string, handler Handler) (Subscription, error) {
 	defer b.mu.Unlock()
 	ts := b.ensureTopic(topic)
 	b.nextID++
-	ts.subs[b.nextID] = handler
+	ts.subs = append(ts.subs, registered{id: b.nextID, h: handler})
 	return Subscription{topic: topic, id: b.nextID}, nil
 }
 
@@ -332,7 +348,7 @@ func (b *Bus) Unsubscribe(s Subscription) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ts, ok := b.topics[s.topic]; ok {
-		delete(ts.subs, s.id)
+		ts.subs = ts.subs.remove(s.id)
 	}
 }
 
@@ -346,11 +362,11 @@ func (b *Bus) Tap(handler Handler) (cancel func(), err error) {
 	defer b.mu.Unlock()
 	b.nextID++
 	id := b.nextID
-	b.taps[id] = handler
+	b.taps = append(b.taps, registered{id: id, h: handler})
 	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		delete(b.taps, id)
+		b.taps = b.taps.remove(id)
 	}, nil
 }
 

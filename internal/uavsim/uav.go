@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"sesame/internal/geo"
+	"sesame/internal/rosbus"
 )
 
 // VehicleKind selects the airframe dynamics model.
@@ -72,6 +73,8 @@ type UAV struct {
 	GuidanceOverride func(u *UAV, dt float64) geo.ENU
 
 	world *World
+	// Telemetry publishers, advertised by World.AddUAV.
+	pubStatus, pubGPS, pubBattery, pubHealth *rosbus.Publisher
 }
 
 // ID returns the vehicle id.

@@ -41,8 +41,6 @@ type World struct {
 	// concurrently).
 	airborne atomic.Int64
 
-	pubs map[string]map[string]*rosbus.Publisher // uav -> topic -> pub
-
 	// TelemetryHz is how often telemetry publishes per simulated second
 	// when stepping with StepTelemetry (default 1 Hz).
 	TelemetryHz float64
@@ -70,7 +68,6 @@ func NewWorld(origin geo.LatLng, seed int64) *World {
 		Bus:         rosbus.NewBus(),
 		proj:        geo.NewProjection(origin),
 		uavs:        make(map[string]*UAV),
-		pubs:        make(map[string]map[string]*rosbus.Publisher),
 		TelemetryHz: 1,
 	}
 }
@@ -174,19 +171,20 @@ func (w *World) AddUAV(cfg UAVConfig) (*UAV, error) {
 		}
 	}
 
-	topics := map[string]string{
-		"gps":     gpsTopic(cfg.ID),
-		"battery": batteryTopic(cfg.ID),
-		"health":  healthTopic(cfg.ID),
-		"status":  statusTopic(cfg.ID),
-	}
-	w.pubs[cfg.ID] = make(map[string]*rosbus.Publisher, len(topics))
-	for key, topic := range topics {
-		pub, err := w.Bus.Advertise(topic, cfg.ID)
+	for _, ad := range []struct {
+		pub   **rosbus.Publisher
+		topic string
+	}{
+		{&u.pubGPS, gpsTopic(cfg.ID)},
+		{&u.pubBattery, batteryTopic(cfg.ID)},
+		{&u.pubHealth, healthTopic(cfg.ID)},
+		{&u.pubStatus, statusTopic(cfg.ID)},
+	} {
+		pub, err := w.Bus.Advertise(ad.topic, cfg.ID)
 		if err != nil {
 			return nil, err
 		}
-		w.pubs[cfg.ID][key] = pub
+		*ad.pub = pub
 	}
 	return u, nil
 }
@@ -346,7 +344,6 @@ func (w *World) CurrentWind() geo.ENU { return w.Wind.Add(w.gust) }
 func (w *World) publishTelemetry(now float64) {
 	for _, u := range w.seq {
 		id := u.cfg.ID
-		pubs := w.pubs[id]
 
 		// A severed C2 link (jamming) carries no telemetry: downstream
 		// observers see the topics go silent, which is exactly the
@@ -357,7 +354,7 @@ func (w *World) publishTelemetry(now float64) {
 
 		// Status (IMU/odometry-grade) goes out before the GPS fix so
 		// consumers correlating the two streams see same-tick data.
-		w.countPublish(pubs["status"].Publish(now, StatusReport{
+		w.countPublish(u.pubStatus.Publish(now, StatusReport{
 			UAV:       id,
 			Mode:      u.Mode(),
 			Position:  u.TruePosition(),
@@ -370,9 +367,9 @@ func (w *World) publishTelemetry(now float64) {
 		// A lost fix is still published, with Quality=GPSLost, so
 		// downstream monitors observe the dropout.
 		fix, _ := u.GPS.Fix(u.TruePosition(), u.AltitudeM(), id, now)
-		w.countPublish(pubs["gps"].Publish(now, fix))
-		w.countPublish(pubs["battery"].Publish(now, u.Battery.State(id, now)))
-		w.countPublish(pubs["health"].Publish(now, HealthState{
+		w.countPublish(u.pubGPS.Publish(now, fix))
+		w.countPublish(u.pubBattery.Publish(now, u.Battery.State(id, now)))
+		w.countPublish(u.pubHealth.Publish(now, HealthState{
 			UAV:          id,
 			Rotors:       u.RotorStates(),
 			FailedRotors: u.FailedRotors(),
