@@ -15,6 +15,10 @@ import (
 	"sesame/internal/experiments"
 )
 
+// BenchmarkFig1ConSertEvaluation times the whole Fig. 1 artefact,
+// experiments.RunFig1 with its fleet tables and formatting, not one
+// evaluation. The per-call ConSert cost is BenchmarkUAVAction in
+// internal/conserts.
 func BenchmarkFig1ConSertEvaluation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -25,9 +25,11 @@ import (
 // name. Missing names evaluate to false (fail-safe).
 type Evidence map[string]bool
 
-// Expr is a boolean condition over evidence and demands.
+// Expr is a boolean condition over evidence and demands. NewComposition
+// compiles every condition once into the composition's jump code
+// (program.go); evaluation never walks an Expr.
 type Expr interface {
-	eval(ev Evidence, satisfied map[string]bool) bool
+	compile(c *compiler, onTrue, onFalse int32) int32
 	demands(into []string) []string
 	String() string
 }
@@ -37,9 +39,9 @@ func RtE(name string) Expr { return rte(name) }
 
 type rte string
 
-func (r rte) eval(ev Evidence, _ map[string]bool) bool { return ev[string(r)] }
-func (r rte) demands(into []string) []string           { return into }
-func (r rte) String() string                           { return "rte:" + string(r) }
+func (r rte) compile(c *compiler, t, f int32) int32 { return c.rte(string(r), t, f) }
+func (r rte) demands(into []string) []string        { return into }
+func (r rte) String() string                        { return "rte:" + string(r) }
 
 // Demand references a guarantee of another ConSert as
 // "consert/guarantee". It is satisfied when the provider currently
@@ -50,9 +52,9 @@ func Demand(consert, guarantee string) Expr {
 
 type demand string
 
-func (d demand) eval(_ Evidence, satisfied map[string]bool) bool { return satisfied[string(d)] }
-func (d demand) demands(into []string) []string                  { return append(into, string(d)) }
-func (d demand) String() string                                  { return "demand:" + string(d) }
+func (d demand) compile(c *compiler, t, f int32) int32 { return c.demand(string(d), t, f) }
+func (d demand) demands(into []string) []string        { return append(into, string(d)) }
+func (d demand) String() string                        { return "demand:" + string(d) }
 
 // And is true when all children are true.
 func And(children ...Expr) Expr { return nary{op: "and", kids: children} }
@@ -65,22 +67,7 @@ type nary struct {
 	kids []Expr
 }
 
-func (n nary) eval(ev Evidence, sat map[string]bool) bool {
-	if n.op == "and" {
-		for _, k := range n.kids {
-			if !k.eval(ev, sat) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, k := range n.kids {
-		if k.eval(ev, sat) {
-			return true
-		}
-	}
-	return false
-}
+func (n nary) compile(c *compiler, t, f int32) int32 { return c.nary(n.op == "and", n.kids, t, f) }
 
 func (n nary) demands(into []string) []string {
 	for _, k := range n.kids {
@@ -141,18 +128,19 @@ func (c *ConSert) Validate() error {
 	return nil
 }
 
-// Composition is a set of ConSerts wired by demands.
+// Composition is a set of ConSerts wired by demands, compiled once
+// into index form (see program.go). A composition is immutable after
+// NewComposition and safe for concurrent Evaluate calls; the ConSerts
+// it was built from must not be modified afterwards.
 type Composition struct {
 	conserts map[string]*ConSert
 	order    []string // topological evaluation order
-	// qualified[name][i] is the precomputed "name/guaranteeID" key of
-	// guarantee i of ConSert name, so evaluation never concatenates.
-	qualified map[string][]string
+	program
 }
 
 // NewComposition validates the ConSerts, resolves demand references,
-// and computes a topological evaluation order (demands must be
-// acyclic).
+// computes a topological evaluation order (demands must be acyclic)
+// and compiles the conditions into the composition's program.
 func NewComposition(conserts ...*ConSert) (*Composition, error) {
 	if len(conserts) == 0 {
 		return nil, errors.New("conserts: empty composition")
@@ -234,14 +222,7 @@ func NewComposition(conserts ...*ConSert) (*Composition, error) {
 	if len(comp.order) != len(comp.conserts) {
 		return nil, errors.New("conserts: demand cycle detected")
 	}
-	comp.qualified = make(map[string][]string, len(comp.conserts))
-	for name, c := range comp.conserts {
-		keys := make([]string, len(c.Guarantees))
-		for i, g := range c.Guarantees {
-			keys[i] = name + "/" + g.ID
-		}
-		comp.qualified[name] = keys
-	}
+	comp.compile()
 	return comp, nil
 }
 
@@ -257,80 +238,49 @@ type Result struct {
 }
 
 // Evaluate resolves the whole composition bottom-up under the given
-// evidence and returns per-ConSert results. For per-tick evaluation
-// loops, an Evaluator amortizes the result storage across calls.
+// evidence and returns per-ConSert results. Per-tick loops that only
+// need the UAV action use an Evaluator instead.
 func (comp *Composition) Evaluate(ev Evidence) map[string]Result {
-	return comp.evaluateInto(ev, make(map[string]bool), make(map[string]Result, len(comp.conserts)), nil)
+	results, _ := comp.evaluate(ev)
+	return results
 }
 
-// evaluateInto runs the bottom-up resolution writing into the supplied
-// satisfied set and result map; satBufs, when non-nil, provides the
-// per-ConSert backing arrays for the Satisfied slices (keyed like
-// comp.conserts). Callers must pass an empty satisfied map.
-func (comp *Composition) evaluateInto(ev Evidence, satisfied map[string]bool, out map[string]Result, satBufs map[string][]string) map[string]Result {
-	for _, name := range comp.order {
-		c := comp.conserts[name]
-		keys := comp.qualified[name]
-		res := Result{ConSert: name, Satisfied: satBufs[name]}
-		var best *Guarantee
-		for i := range c.Guarantees {
-			g := &c.Guarantees[i]
-			ok := g.Cond == nil || g.Cond.eval(ev, satisfied)
-			if ok {
-				satisfied[keys[i]] = true
-				res.Satisfied = append(res.Satisfied, g.ID)
-				if best == nil || g.Rank > best.Rank {
-					best = g
-				}
+// evaluate runs the program over the named evidence and returns the
+// per-ConSert results together with the guarantee vector they were
+// read from.
+func (comp *Composition) evaluate(ev Evidence) (map[string]Result, []bool) {
+	vec := comp.newVector()
+	comp.load(vec, ev)
+	comp.run(vec, len(comp.guars))
+	sat := vec[:len(comp.guars)]
+	out := make(map[string]Result, len(comp.spans))
+	for i := range comp.spans {
+		sp := &comp.spans[i]
+		res := Result{ConSert: sp.name}
+		for _, g := range sp.byID {
+			if sat[g] {
+				res.Satisfied = append(res.Satisfied, comp.guars[g].ID)
 			}
 		}
-		res.Best = best
-		sort.Strings(res.Satisfied)
-		if satBufs != nil {
-			satBufs[name] = res.Satisfied[:0]
+		if g := sp.best(sat); g >= 0 {
+			res.Best = comp.guars[g]
 		}
-		if len(res.Satisfied) == 0 {
-			res.Satisfied = nil
-		}
-		out[name] = res
+		out[sp.name] = res
 	}
-	return out
+	return out, sat
 }
 
-// Evaluator amortizes Composition evaluation: the satisfied set, the
-// result map and the Satisfied backing arrays are allocated once and
-// reused, so steady-state Evaluate calls allocate nothing. The result
-// map and its Satisfied slices are owned by the Evaluator and
-// overwritten by the next Evaluate; copy them to retain them. Not safe
-// for concurrent use — give each concurrent caller its own Evaluator.
+// Evaluator evaluates the UAV action of a composition over storage it
+// allocates once, so steady-state calls allocate nothing. Not safe for
+// concurrent use: give each concurrent caller its own Evaluator.
 type Evaluator struct {
-	comp      *Composition
-	satisfied map[string]bool
-	out       map[string]Result
-	satBufs   map[string][]string
+	comp *Composition
+	vec  []bool // evaluation vector: guarantee slots, then evidence
 }
 
 // NewEvaluator builds a reusable evaluator over the composition.
 func NewEvaluator(comp *Composition) *Evaluator {
-	e := &Evaluator{
-		comp:      comp,
-		satisfied: make(map[string]bool),
-		out:       make(map[string]Result, len(comp.conserts)),
-		satBufs:   make(map[string][]string, len(comp.conserts)),
-	}
-	for name, c := range comp.conserts {
-		e.satBufs[name] = make([]string, 0, len(c.Guarantees))
-	}
-	return e
-}
-
-// Evaluate is Composition.Evaluate over the evaluator's reusable
-// storage. The results are identical to the allocating path.
-func (e *Evaluator) Evaluate(ev Evidence) map[string]Result {
-	for k := range e.satisfied {
-		delete(e.satisfied, k)
-	}
-	return e.comp.evaluateInto(ev, e.satisfied, e.out, e.satBufs)
+	return &Evaluator{comp: comp, vec: comp.newVector()}
 }
 
 // ConSertNames returns the composition members in evaluation order.

@@ -241,39 +241,89 @@ func EvaluateUAV(comp *Composition, ev Evidence) (UAVAction, map[string]Result, 
 	if comp == nil {
 		return ActionEmergencyLand, nil, errors.New("conserts: nil composition")
 	}
-	results := comp.Evaluate(ev)
-	action, err := uavActionFrom(results)
+	results, sat := comp.evaluate(ev)
+	action, err := comp.uavAction(sat)
 	return action, results, err
 }
 
-// UAVAction is EvaluateUAV over the evaluator's reusable storage: the
-// per-tick hot path, allocation-free in steady state.
+// UAVAction is EvaluateUAV's action over the evaluator's reusable
+// storage, allocation-free in steady state. Evidence names the
+// composition does not reference are ignored.
 func (e *Evaluator) UAVAction(ev Evidence) (UAVAction, error) {
-	return uavActionFrom(e.Evaluate(ev))
+	e.comp.load(e.vec, ev)
+	return e.action()
 }
 
-// uavActionFrom maps the UAV ConSert's best guarantee to the flight
-// action.
-func uavActionFrom(results map[string]Result) (UAVAction, error) {
-	uavRes, ok := results[ConSertUAV]
-	if !ok {
-		return ActionEmergencyLand, fmt.Errorf("conserts: composition has no %q ConSert", ConSertUAV)
+// Action is UAVAction over an evidence vector indexed by the
+// composition's EvidenceSlot: the per-tick hot path, with no map
+// access and no allocation. It evaluates only the guarantees the UAV
+// ConSert can depend on.
+func (e *Evaluator) Action(v EvidenceVector) (UAVAction, error) {
+	if len(v) != len(e.comp.evNames) {
+		return ActionEmergencyLand, errVectorLen
 	}
-	if uavRes.Best == nil {
-		return ActionEmergencyLand, nil
+	copy(e.vec[len(e.comp.guars):], v)
+	return e.action()
+}
+
+// action evaluates the UAV action over the loaded evaluation vector.
+func (e *Evaluator) action() (UAVAction, error) {
+	e.comp.run(e.vec, e.comp.uavEnd)
+	return e.comp.uavAction(e.vec)
+}
+
+var (
+	errVectorLen = errors.New("conserts: evidence vector does not match the composition")
+	errNoUAV     = fmt.Errorf("conserts: composition has no %q ConSert", ConSertUAV)
+	errNoUAVs    = errors.New("conserts: no UAVs to decide over")
+)
+
+// actionUnknown marks a UAV ConSert guarantee with no flight action.
+const actionUnknown UAVAction = -1
+
+// uavChoice pairs a UAV ConSert guarantee slot with its action.
+type uavChoice struct {
+	slot   int32
+	action UAVAction
+}
+
+// uavChoices resolves the UAV ConSert's guarantees, best first, to
+// flight actions at compile time.
+func uavChoices(guars []*Guarantee, byRank []int32) []uavChoice {
+	out := make([]uavChoice, len(byRank))
+	for i, slot := range byRank {
+		a := actionUnknown
+		switch guars[slot].ID {
+		case GuaranteeUAVContinueTakeover:
+			a = ActionContinueTakeover
+		case GuaranteeUAVContinue:
+			a = ActionContinue
+		case GuaranteeUAVHold:
+			a = ActionHold
+		case GuaranteeUAVReturn:
+			a = ActionReturnToBase
+		}
+		out[i] = uavChoice{slot: slot, action: a}
 	}
-	switch uavRes.Best.ID {
-	case GuaranteeUAVContinueTakeover:
-		return ActionContinueTakeover, nil
-	case GuaranteeUAVContinue:
-		return ActionContinue, nil
-	case GuaranteeUAVHold:
-		return ActionHold, nil
-	case GuaranteeUAVReturn:
-		return ActionReturnToBase, nil
-	default:
-		return ActionEmergencyLand, fmt.Errorf("conserts: unknown UAV guarantee %q", uavRes.Best.ID)
+	return out
+}
+
+// uavAction maps the UAV ConSert's best satisfied guarantee to the
+// flight action.
+func (comp *Composition) uavAction(sat []bool) (UAVAction, error) {
+	if comp.uavEnd == 0 {
+		return ActionEmergencyLand, errNoUAV
 	}
+	for _, c := range comp.uav {
+		if !sat[c.slot] {
+			continue
+		}
+		if c.action == actionUnknown {
+			return ActionEmergencyLand, fmt.Errorf("conserts: unknown UAV guarantee %q", comp.guars[c.slot].ID)
+		}
+		return c.action, nil
+	}
+	return ActionEmergencyLand, nil
 }
 
 // MissionDecision is the mission-level decider outcome (Fig. 1 top).
@@ -304,17 +354,22 @@ func (d MissionDecision) String() string {
 // least one means tasks are redistributed among the remaining capable
 // UAVs; none means the mission cannot be fully completed.
 func DecideMission(actions map[string]UAVAction) (MissionDecision, error) {
-	if len(actions) == 0 {
-		return MissionAbort, errors.New("conserts: no UAVs to decide over")
-	}
 	capable := 0
 	for _, a := range actions {
 		if a.CanContinue() {
 			capable++
 		}
 	}
+	return DecideCounts(capable, len(actions))
+}
+
+// DecideCounts is DecideMission's rule over counts: capable of the
+// fleet's total UAVs can continue.
+func DecideCounts(capable, total int) (MissionDecision, error) {
 	switch {
-	case capable == len(actions):
+	case total == 0:
+		return MissionAbort, errNoUAVs
+	case capable == total:
 		return MissionAsPlanned, nil
 	case capable > 0:
 		return MissionRedistribute, nil

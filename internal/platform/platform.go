@@ -288,13 +288,14 @@ type Platform struct {
 	Coordinator *eddi.Coordinator
 	DB          *Database
 
-	cfg  Config
-	comp *conserts.Composition
-	// eval and evidence are the reusable ConSert evaluation scratch.
-	// fuse runs only in the serial apply phase, so sharing one across
-	// the fleet is race-free.
+	cfg Config
+	// eval and evidence are the reusable ConSert evaluation scratch,
+	// and evSlots the evidence slots fuse fills. fuse runs only in the
+	// serial apply phase, so sharing them across the fleet is
+	// race-free.
 	eval     *conserts.Evaluator
-	evidence conserts.Evidence
+	evidence conserts.EvidenceVector
+	evSlots  evidenceSlots
 	assessor *sinadra.Assessor
 	detector *detection.Detector
 	scene    *detection.Scene
@@ -309,11 +310,10 @@ type Platform struct {
 	// cells is the resolved shard layout over p.order; length 1 is the
 	// unsharded layout (serial prepare on the shared detector stream).
 	cells []cell
-	// snapBuf, obsBuf and actionsBuf are per-tick scratch reused across
-	// ticks; the pipeline fully consumes them before the tick returns.
-	snapBuf    []eddi.Snapshot
-	obsBuf     []observation
-	actionsBuf map[string]conserts.UAVAction
+	// snapBuf and obsBuf are per-tick scratch reused across ticks; the
+	// pipeline fully consumes them before the tick returns.
+	snapBuf []eddi.Snapshot
+	obsBuf  []observation
 	// obs holds the resolved observability handles (nil when disabled).
 	obs *platformMetrics
 	// drops counts data-path failures that were previously discarded.
@@ -413,12 +413,9 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 		if err != nil {
 			return nil, err
 		}
-		p.comp, err = conserts.BuildUAVComposition()
-		if err != nil {
+		if err := p.initFusion(); err != nil {
 			return nil, err
 		}
-		p.eval = conserts.NewEvaluator(p.comp)
-		p.evidence = make(conserts.Evidence, 16)
 		p.assessor, err = sinadra.NewAssessor(sinadra.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -991,12 +988,7 @@ func (p *Platform) updateDecision() {
 	if p.mission == nil {
 		return
 	}
-	actions := p.actionsBuf
-	if actions == nil {
-		actions = make(map[string]conserts.UAVAction, len(p.order))
-		p.actionsBuf = actions
-	}
-	clear(actions)
+	capable := 0
 	for _, id := range p.order {
 		st := p.states[id]
 		a := st.action
@@ -1011,9 +1003,11 @@ func (p *Platform) updateDecision() {
 				a = conserts.ActionEmergencyLand
 			}
 		}
-		actions[id] = a
+		if a.CanContinue() {
+			capable++
+		}
 	}
-	d, err := conserts.DecideMission(actions)
+	d, err := conserts.DecideCounts(capable, len(p.order))
 	if countIn(&p.drops.mission, err) {
 		p.decision = d
 	}

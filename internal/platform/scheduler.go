@@ -511,17 +511,56 @@ func (p *Platform) descend(st *uavState) {
 	st.hasUncert = false
 }
 
+// evidenceSlots are the evidence-vector slots of the Fig. 1 runtime
+// evidence, resolved once when the platform is built.
+type evidenceSlots struct {
+	gpsQualityOK, noSpoofing, cameraHealthy, perceptionConfident,
+	nearbyDroneDetection, commsOK, neighborsAvailable,
+	reliabilityHigh, reliabilityMedium int
+}
+
+// initFusion compiles the Fig. 1 composition and resolves the evidence
+// slots fuse fills.
+func (p *Platform) initFusion() error {
+	comp, err := conserts.BuildUAVComposition()
+	if err != nil {
+		return err
+	}
+	s := &p.evSlots
+	for _, r := range []struct {
+		name string
+		slot *int
+	}{
+		{conserts.EvGPSQualityOK, &s.gpsQualityOK},
+		{conserts.EvNoSpoofing, &s.noSpoofing},
+		{conserts.EvCameraHealthy, &s.cameraHealthy},
+		{conserts.EvPerceptionConfident, &s.perceptionConfident},
+		{conserts.EvNearbyDroneDetection, &s.nearbyDroneDetection},
+		{conserts.EvCommsOK, &s.commsOK},
+		{conserts.EvNeighborsAvailable, &s.neighborsAvailable},
+		{conserts.EvReliabilityHigh, &s.reliabilityHigh},
+		{conserts.EvReliabilityMedium, &s.reliabilityMedium},
+	} {
+		if *r.slot = comp.EvidenceSlot(r.name); *r.slot < 0 {
+			return fmt.Errorf("platform: ConSert composition reads no %q evidence", r.name)
+		}
+	}
+	p.eval = conserts.NewEvaluator(comp)
+	p.evidence = comp.NewEvidenceVector()
+	return nil
+}
+
 // fuse maps the UAV's state onto ConSert evidence and evaluates the
 // Fig. 1 composition.
 func (p *Platform) fuse(st *uavState, u *uavsim.UAV, id string) (conserts.UAVAction, error) {
 	// p.evidence and p.eval are shared scratch, reused every tick; fuse
 	// only runs in the serial apply phase (see the phase comment above).
-	ev := p.evidence
-	ev[conserts.EvGPSQualityOK] = u.GPS.Mode == uavsim.GPSModeNominal || u.GPS.Mode == uavsim.GPSModeSpoofed
-	ev[conserts.EvNoSpoofing] = !p.Security.CompromisedBy(id, st.mapManipKey)
-	ev[conserts.EvCameraHealthy] = u.Camera.OK
-	ev[conserts.EvPerceptionConfident] = !st.hasUncert || st.uncertainty < 0.9
-	ev[conserts.EvNearbyDroneDetection] = u.Camera.OK
+	ev, s := p.evidence, &p.evSlots
+	ev[s.gpsQualityOK] = u.GPS.Mode == uavsim.GPSModeNominal || u.GPS.Mode == uavsim.GPSModeSpoofed
+	ev[s.noSpoofing] = !p.Security.CompromisedBy(id, st.mapManipKey)
+	ev[s.cameraHealthy] = u.Camera.OK
+	ev[s.perceptionConfident] = !st.hasUncert || st.uncertainty < 0.9
+	ev[s.nearbyDroneDetection] = u.Camera.OK
 	commsOK := u.Comms.OK && !p.Security.CompromisedBy(id, st.c2HijackKey)
 	// GCS-observed staleness demotes the comms guarantee: evidence must
 	// reflect what the ground station can actually see, not vehicle
@@ -529,9 +568,9 @@ func (p *Platform) fuse(st *uavState, u *uavsim.UAV, id string) (conserts.UAVAct
 	if w := p.cfg.LostLinkWindowS; w > 0 && (st.lostLink || st.telemetryAge(p.World.Clock.Now()) > w) {
 		commsOK = false
 	}
-	ev[conserts.EvCommsOK] = commsOK
-	ev[conserts.EvNeighborsAvailable] = p.airborneNeighbors(id) > 0
-	ev[conserts.EvReliabilityHigh] = st.lastAssessment.Level == safedrones.LevelHigh
-	ev[conserts.EvReliabilityMedium] = st.lastAssessment.Level == safedrones.LevelMedium
-	return p.eval.UAVAction(ev)
+	ev[s.commsOK] = commsOK
+	ev[s.neighborsAvailable] = p.airborneNeighbors(id) > 0
+	ev[s.reliabilityHigh] = st.lastAssessment.Level == safedrones.LevelHigh
+	ev[s.reliabilityMedium] = st.lastAssessment.Level == safedrones.LevelMedium
+	return p.eval.Action(ev)
 }
