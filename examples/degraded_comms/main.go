@@ -33,13 +33,10 @@ func main() {
 
 	// The link layer sits between the UAVs and the ground station: bus
 	// telemetry and broker alerts for a UAV cross its configured link.
-	links := sesame.NewLinkLayer(world, "field")
-	links.AttachBroker(platform.Broker, func(topic string) string {
-		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-			return uav
-		}
-		return ""
-	})
+	links, err := platform.AttachLinks("field", true)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, id := range []string{"u1", "u2", "u3"} {
 		links.Link(id).SetProfile(sesame.LinkProfile{DupProb: 0.08})
 	}

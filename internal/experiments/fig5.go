@@ -106,23 +106,14 @@ func RunFig5(seed int64) (*Fig5Result, error) {
 
 	// Part 2: the platform-level availability comparison.
 	runPlatform := func(sesame bool) (avail, completion float64, err error) {
-		w := uavsim.NewWorld(testOrigin, seed)
-		for _, id := range []string{"u1", "u2", "u3"} {
-			if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: testOrigin, CruiseSpeedMS: 12}); err != nil {
-				return 0, 0, err
-			}
-		}
 		cfg := platform.DefaultConfig()
 		cfg.SESAME = sesame
-		p, err := platform.New(w, nil, cfg)
+		l, err := platform.Recipe{Seed: seed, UAVs: 3, AreaSideM: 350}.Build(cfg)
 		if err != nil {
 			return 0, 0, err
 		}
+		p, w := l.Platform, l.World
 		defer p.Close()
-		start := w.Clock.Now()
-		if err := p.StartMission(squareArea(350)); err != nil {
-			return 0, 0, err
-		}
 		at := w.Clock.Now() + 60
 		if err := w.ScheduleFault(uavsim.BatteryCollapseFault(at, "u1", 70, 40)); err != nil {
 			return 0, 0, err
@@ -131,7 +122,7 @@ func RunFig5(seed int64) (*Fig5Result, error) {
 			return 0, 0, err
 		}
 		avail, err = p.Availability()
-		return avail, w.Clock.Now() - start, err
+		return avail, w.Clock.Now() - l.Start, err
 	}
 	if res.AvailabilityEDDI, res.CompletionEDDIS, err = runPlatform(true); err != nil {
 		return nil, err

@@ -3,13 +3,11 @@ package experiments
 import (
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"sesame/internal/linksim"
 	"sesame/internal/obsv"
 	"sesame/internal/platform"
-	"sesame/internal/uavsim"
 )
 
 // ObsvMonitorRow is one monitor's latency summary over a full mission.
@@ -169,39 +167,17 @@ func histQuantileUS(h obsv.HistogramSample, q float64) float64 {
 // the link-layer counters are exercised) and returns the wall-clock
 // time spent in the mission loop. reg == nil flies it uninstrumented.
 func runObsvOnce(seed int64, reg *obsv.Registry) (time.Duration, error) {
-	w := uavsim.NewWorld(testOrigin, seed)
-	for _, id := range []string{"u1", "u2", "u3"} {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: testOrigin, CruiseSpeedMS: 12}); err != nil {
-			return 0, err
-		}
-	}
 	cfg := platform.DefaultConfig()
 	cfg.Observability = reg
-	p, err := platform.New(w, nil, cfg)
+	l, err := platform.Recipe{Seed: seed, UAVs: 3, AreaSideM: 350, HorizonS: 900,
+		Link: &platform.LinkPlan{Name: "obsv", Profile: linksim.Profile{DropProb: 0.02, DupProb: 0.01}}}.Build(cfg)
 	if err != nil {
 		return 0, err
 	}
+	p := l.Platform
 	defer p.Close()
-
-	layer := linksim.New(w.Clock, "obsv")
-	layer.Instrument(reg)
-	layer.AttachBus(w.Bus)
-	layer.AttachBroker(p.Broker, func(topic string) string {
-		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-			return uav
-		}
-		return ""
-	})
-	for _, id := range []string{"u1", "u2", "u3"} {
-		layer.Link(id).SetProfile(linksim.Profile{DropProb: 0.02, DupProb: 0.01})
-	}
-
-	if err := p.StartMission(squareArea(350)); err != nil {
-		return 0, err
-	}
-	start := w.Clock.Now()
 	wall := time.Now()
-	for w.Clock.Now() < start+900 && !p.MissionComplete() {
+	for l.World.Clock.Now() < l.End && !p.MissionComplete() {
 		if err := p.Tick(); err != nil {
 			return 0, err
 		}

@@ -383,6 +383,34 @@ func count(stat *uint64, mirror *obsv.Counter, n uint64) {
 	mirror.Add(n)
 }
 
+// setStats replaces the link's counters with restored ones and moves
+// each metric mirror by the difference, so a restored layer reports
+// what the recorded run reported. It works on differences, not on the
+// mirror's value, because links past the registry's label cap share
+// one series. Mirrors only count up: a counter restored below its
+// current value leaves its mirror where it is.
+func (lk *Link) setStats(s LinkStats) {
+	old := lk.stats
+	lk.stats = s
+	for _, c := range [...]struct {
+		mirror   *obsv.Counter
+		from, to uint64
+	}{
+		{lk.m.offered, old.Offered, s.Offered},
+		{lk.m.delivered, old.Delivered, s.Delivered},
+		{lk.m.dropped, old.Dropped, s.Dropped},
+		{lk.m.outageDropped, old.OutageDropped, s.OutageDropped},
+		{lk.m.rejected, old.Rejected, s.Rejected},
+		{lk.m.delayed, old.Delayed, s.Delayed},
+		{lk.m.duplicated, old.Duplicated, s.Duplicated},
+		{lk.m.reordered, old.Reordered, s.Reordered},
+	} {
+		if c.to > c.from {
+			c.mirror.Add(c.to - c.from)
+		}
+	}
+}
+
 // outageAt must be called with the layer mutex held.
 func (lk *Link) outageAt(now float64) (down, reject bool) {
 	for _, o := range lk.outages {
@@ -525,7 +553,8 @@ func (l *Layer) State() (State, error) {
 
 // Restore overlays a checkpoint onto a freshly rebuilt layer: it
 // replaces the queue, the held frames, the sequence counter and every
-// link's counters (links absent from st restart at zero). decode turns
+// link's counters (links absent from st restart at zero), and brings
+// the counters' metric mirrors along. decode turns
 // a bus frame's JSON payload back into the value its topic carries.
 func (l *Layer) Restore(st State, decode func(topic string, payload json.RawMessage) (any, error)) error {
 	queue := make([]*Frame, 0, len(st.Frames))
@@ -547,10 +576,11 @@ func (l *Layer) Restore(st State, decode func(topic string, payload json.RawMess
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for name, lk := range l.links {
-		lk.stats, lk.held = st.Links[name], nil
+		lk.setStats(st.Links[name])
+		lk.held = nil
 	}
 	for name, s := range st.Links {
-		l.linkLocked(name).stats = s
+		l.linkLocked(name).setStats(s)
 	}
 	for _, f := range queue {
 		f.link = l.linkLocked(f.Link)

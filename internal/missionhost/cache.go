@@ -31,6 +31,9 @@ type renderCache struct {
 	items map[cacheKey]*list.Element
 }
 
+// renderCacheEntries bounds the host's cache of rendered status JSON.
+const renderCacheEntries = 1024
+
 func newRenderCache(capacity int) *renderCache {
 	return &renderCache{cap: capacity, ll: list.New(), items: make(map[cacheKey]*list.Element)}
 }

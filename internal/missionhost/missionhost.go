@@ -45,8 +45,6 @@ type Config struct {
 	// directory recovers them. "" = fresh temp directory, removed on
 	// Close.
 	ParkDir string
-	// CacheEntries bounds the LRU cache of rendered status JSON. 0 = 1024.
-	CacheEntries int
 	// Observability publishes the host metric families into this
 	// registry; nil disables the layer (Stats still counts).
 	Observability *obsv.Registry
@@ -70,9 +68,6 @@ func (c *Config) normalize() {
 	}
 	if c.TickBudget > maxTickBudget {
 		c.TickBudget = maxTickBudget
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 1024
 	}
 }
 
@@ -215,7 +210,7 @@ func New(cfg Config) (*Host, error) {
 		}
 		h.parkRoot = cfg.ParkDir
 	}
-	h.cache = newRenderCache(cfg.CacheEntries)
+	h.cache = newRenderCache(renderCacheEntries)
 	h.met = newMetrics(cfg.Observability)
 	if err := h.recover(); err != nil {
 		return nil, err

@@ -225,7 +225,7 @@ func TestMonitorQuarantineBreaker(t *testing.T) {
 	plan := chaos.Plan{Seed: 3, Monitors: []chaos.MonitorFault{
 		{UAV: "u1", Mode: chaos.ModePanic, Window: chaos.Window{ToS: 100}, Prob: 1},
 	}}
-	cfg := DefaultConfig() // BreakerFailures 3, BreakerCooldownS 30
+	cfg := DefaultConfig() // breakerFailures 3, breakerCooldownS 30
 	cfg.Observability = obsv.NewRegistry()
 	p, layer := buildChaosPlatform(t, cfg, 5, plan)
 	if err := p.StartMission(missionArea(350)); err != nil {

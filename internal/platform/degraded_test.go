@@ -12,19 +12,15 @@ import (
 	"sesame/internal/uavsim"
 )
 
-// attachLinkLayer wraps the platform's bus and alert broker in a
-// linksim fault layer routed per UAV, the way the degraded-comms
-// experiments do, and hands it to the platform for checkpoints.
-func attachLinkLayer(p *Platform) *linksim.Layer {
-	layer := linksim.New(p.World.Clock, "degraded")
-	p.SetLinks(layer)
-	layer.AttachBus(p.World.Bus)
-	layer.AttachBroker(p.Broker, func(topic string) string {
-		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-			return uav
-		}
-		return ""
-	})
+// attachLinkLayer puts the platform behind a link layer that carries
+// each UAV's telemetry and IDS alerts, the way the degraded-comms
+// experiments do.
+func attachLinkLayer(t *testing.T, p *Platform) *linksim.Layer {
+	t.Helper()
+	layer, err := p.AttachLinks("degraded", true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return layer
 }
 
@@ -58,7 +54,7 @@ func TestDegradedCommsDeterministicReplay(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		p := buildPlatform(t, cfg, 21, 0)
-		layer := attachLinkLayer(p)
+		layer := attachLinkLayer(t, p)
 		profile := linksim.Profile{DupProb: 0.1}
 		for _, id := range []string{"u1", "u2", "u3"} {
 			layer.Link(id).SetProfile(profile)
@@ -142,14 +138,12 @@ func TestDegradedCommsDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestLostLinkWatchdogLandsInPlace covers the conservative contingency:
-// with LostLinkLand set and a permanent link loss, the watchdog lands
-// the vehicle where it is and the link stays flagged lost.
-func TestLostLinkWatchdogLandsInPlace(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LostLinkLand = true
-	p := buildPlatform(t, cfg, 31, 0)
-	layer := attachLinkLayer(p)
+// TestLostLinkWatchdogReturnsToBase covers a permanent link loss: the
+// watchdog returns the vehicle to base once, the link stays flagged
+// lost while the silence lasts, and Status shows the stale link.
+func TestLostLinkWatchdogReturnsToBase(t *testing.T) {
+	p := buildPlatform(t, DefaultConfig(), 31, 0)
+	layer := attachLinkLayer(t, p)
 	if err := p.StartMission(missionArea(300)); err != nil {
 		t.Fatal(err)
 	}
@@ -163,29 +157,37 @@ func TestLostLinkWatchdogLandsInPlace(t *testing.T) {
 		t.Error("u2 lostLink must stay latched under a permanent outage")
 	}
 	if mode := st.uav.Mode(); mode != uavsim.ModeLanded {
-		t.Errorf("u2 mode = %v, want landed in place", mode)
+		t.Errorf("u2 mode = %v, want landed at base", mode)
 	}
-	// Landing in place, the vehicle must not have come home.
-	home := st.uav.Home()
-	if d := geo.Haversine(st.uav.TruePosition(), home); d < 50 {
-		t.Errorf("u2 landed %0.f m from base; land-in-place expected far from home", d)
+	if d := geo.Haversine(st.uav.TruePosition(), st.uav.Home()); d > 10 {
+		t.Errorf("u2 landed %.0f m from base, want back home", d)
 	}
-	found := false
+	events := 0
 	for _, ev := range p.Coordinator.History("u2") {
-		if strings.HasPrefix(ev.Summary, "lost link:") && strings.Contains(ev.Summary, "land in place") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("land-in-place watchdog event missing")
-	}
-	status := p.Status()
-	for _, us := range status.UAVs {
-		if us.ID == "u2" {
-			if !us.LinkLost || us.TelemetryAgeS <= cfg.LostLinkWindowS {
-				t.Errorf("u2 status = lost:%v age:%.0f, want latched stale link", us.LinkLost, us.TelemetryAgeS)
+		if strings.HasPrefix(ev.Summary, "lost link:") {
+			events++
+			if !strings.HasSuffix(ev.Summary, "contingency: return to base") {
+				t.Errorf("watchdog event %q, want the return-to-base contingency", ev.Summary)
 			}
 		}
+	}
+	if events != 1 {
+		t.Errorf("watchdog fired %d times, want once", events)
+	}
+	for _, us := range p.Status().UAVs {
+		if us.ID == "u2" && (!us.LinkLost || us.TelemetryAgeS <= lostLinkWindowS) {
+			t.Errorf("u2 status = lost:%v age:%.0f, want latched stale link", us.LinkLost, us.TelemetryAgeS)
+		}
+	}
+}
+
+// TestAttachLinksRefusesSecondLayer pins the one-layer rule: a second
+// layer would release its frames apart from the first's.
+func TestAttachLinksRefusesSecondLayer(t *testing.T) {
+	p := buildPlatform(t, DefaultConfig(), 1, 0)
+	attachLinkLayer(t, p)
+	if _, err := p.AttachLinks("second", false); err == nil {
+		t.Fatal("a second link layer was accepted")
 	}
 }
 
@@ -386,7 +388,7 @@ func TestDropCountersAllCategories(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	layer := attachLinkLayer(c)
+	layer := attachLinkLayer(t, c)
 	if err := c.StartMission(missionArea(200)); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +450,7 @@ func TestNoFaultRunsUnchanged(t *testing.T) {
 	run := func(attach bool) string {
 		p := buildPlatform(t, DefaultConfig(), 71, 0)
 		if attach {
-			layer := attachLinkLayer(p)
+			layer := attachLinkLayer(t, p)
 			// Links exist but are perfect.
 			layer.Link("u1")
 			layer.Link("u2")

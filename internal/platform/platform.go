@@ -49,10 +49,8 @@ type Config struct {
 	// SESAME enables the EDDI stack; false reproduces the reactive
 	// baseline of the paper's comparisons.
 	SESAME bool
-	// SurveyAltitudeM is the initial mapping altitude; DescendAltitudeM
-	// is where SINADRA's descend advice sends the UAV.
-	SurveyAltitudeM  float64
-	DescendAltitudeM float64
+	// SurveyAltitudeM is the initial mapping altitude.
+	SurveyAltitudeM float64
 	// SweepSpacingM is the coverage track spacing.
 	SweepSpacingM float64
 	// Visibility is the ambient visual condition in (0,1].
@@ -65,9 +63,6 @@ type Config struct {
 	// strip (nil = boustrophedon). The Task Manager hosts planners as
 	// exchangeable services, per §IV-A.
 	CoveragePlanner sar.PathPlanner
-	// SafeLandingPoint receives UAVs landed by Collaborative
-	// Localization; zero value means "land at mission area centroid".
-	SafeLandingPoint geo.LatLng
 	// Origin is the platform's own network origin for database calls.
 	Origin string
 	// Workers bounds the fleet scheduler's observe-phase worker pool:
@@ -88,69 +83,55 @@ type Config struct {
 	// appended after the built-in chain. Their events are emitted in
 	// chain order; Halt and emergency Override advice are honoured.
 	ExtraMonitors []func(uav string) (eddi.Runtime, error)
-	// LostLinkWindowS is the telemetry-silence window (seconds) after
-	// which the lost-link watchdog fires the RTB/land contingency for an
-	// in-mission UAV and demotes its comms evidence. Zero disables the
-	// watchdog.
-	LostLinkWindowS float64
-	// LostLinkLand lands the vehicle in place on lost link instead of
-	// returning it to base (the conservative contingency when the home
-	// corridor cannot be trusted without C2).
-	LostLinkLand bool
-	// DBRetryAttempts bounds how many times a transiently failed
-	// database write (ErrUnavailable) is retried before it is abandoned
-	// and counted as a drop. Values <= 1 disable retrying.
-	DBRetryAttempts int
-	// DBRetryBackoffS is the first retry backoff in sim seconds; each
-	// further attempt doubles it.
-	DBRetryBackoffS float64
-	// BreakerFailures is the per-UAV monitor circuit breaker: after
-	// this many consecutive monitor-chain failures (panics or errors)
-	// the chain is quarantined — skipped entirely, the vehicle held
-	// fail-safe — and re-probed after BreakerCooldownS. Values <= 0
-	// disable quarantine (every failure is still contained and counted,
-	// the chain just re-runs each tick).
-	BreakerFailures int
-	// BreakerCooldownS is the quarantine re-probe interval in sim
-	// seconds. A failed probe silently re-arms the cooldown; a clean
-	// probe closes the breaker and resumes normal monitoring.
-	BreakerCooldownS float64
 	// Observability mirrors the platform's data-path counters and hot-
-	// path latencies into the given registry (bus, broker, IDS, scheduler
-	// phases, per-monitor timings). Nil disables all instrumentation at
-	// zero cost; digested outputs are identical either way because only
-	// deterministic counters reach Status.
+	// path latencies into the given registry (bus, broker, IDS, link
+	// layer, scheduler phases, per-monitor timings). Nil disables all
+	// instrumentation at zero cost; digested outputs are identical
+	// either way because only deterministic counters reach Status.
 	Observability *obsv.Registry
-	// Recorder is the black-box flight recorder (internal/flightrec):
-	// when non-nil the platform appends per-tick telemetry, event,
-	// advice and fault records during the serial apply phase and writes
-	// a full checkpoint every Recorder.SnapshotEvery ticks. Nil disables
-	// recording at zero cost.
-	Recorder *flightrec.Recorder
-	// Scenario attaches the declarative mission description the
-	// platform runs (internal/scenario): its visibility profile
-	// overrides Visibility/UseThermalBelow at construction, and its
-	// digest joins ConfigDigest so a recording can never resume against
-	// a different mission description. Nil keeps the classic hand-wired
-	// missions byte-identical.
-	Scenario *scenario.Scenario
+	// scenario is the declarative mission description the platform
+	// runs, set only by Recipe.Build: its visibility profile overrides
+	// Visibility/UseThermalBelow at construction, and its digest joins
+	// ConfigDigest so a recording can never resume against a different
+	// mission description.
+	scenario *scenario.Scenario
 }
+
+// The §IV-A contingency calibration. Every mission flies with these
+// values; ConfigDigest still carries them under their historical
+// field names.
+const (
+	// descendAltitudeM is where SINADRA's descend advice sends the UAV.
+	descendAltitudeM float64 = 25
+	// lostLinkWindowS is the telemetry-silence window after which the
+	// lost-link watchdog returns an in-mission UAV to base and demotes
+	// its comms evidence.
+	lostLinkWindowS float64 = 15
+	// dbRetryAttempts bounds how many times a transiently failed
+	// database write (ErrUnavailable) is offered before it is abandoned
+	// and counted as a drop; dbRetryBackoffS is the first retry backoff
+	// in sim seconds, doubled on each further attempt.
+	dbRetryAttempts         = 3
+	dbRetryBackoffS float64 = 2
+	// breakerFailures is the per-UAV monitor circuit breaker: after this
+	// many consecutive monitor-chain failures (panics or errors) the
+	// chain is quarantined — skipped entirely, the vehicle held
+	// fail-safe — and re-probed every breakerCooldownS sim seconds. A
+	// failed probe silently re-arms the cooldown; a clean probe closes
+	// the breaker and resumes normal monitoring.
+	breakerFailures          = 3
+	breakerCooldownS float64 = 30
+)
 
 // DefaultConfig returns the experiment calibration with SESAME on.
 func DefaultConfig() Config {
 	return Config{
-		SESAME:           true,
-		SurveyAltitudeM:  60,
-		DescendAltitudeM: 25,
-		SweepSpacingM:    30,
-		Visibility:       1,
-		UseThermalBelow:  0.5,
-		Origin:           "10.0.0.1",
-		LostLinkWindowS:  15,
-		DBRetryAttempts:  3,
-		DBRetryBackoffS:  2,
-		BreakerFailures:  3,
-		BreakerCooldownS: 30,
+		SESAME:          true,
+		SurveyAltitudeM: 60,
+		SweepSpacingM:   30,
+		Visibility:      1,
+		UseThermalBelow: 0.5,
+		Origin:          "10.0.0.1",
 	}
 }
 
@@ -330,8 +311,14 @@ type Platform struct {
 	missionArea geo.Polygon
 	decision    conserts.MissionDecision
 	// links is the link-quality layer checkpoints carry (nil when
-	// the mission has none).
+	// the mission has none; see AttachLinks).
 	links *linksim.Layer
+	// recorder is the black-box flight recorder (internal/flightrec):
+	// when non-nil the platform appends per-tick telemetry, event,
+	// advice and fault records during the serial apply phase and writes
+	// a full checkpoint every recorder.SnapshotEvery ticks. Nil disables
+	// recording at zero cost. SetRecorder attaches it.
+	recorder *flightrec.Recorder
 	// ticks counts completed platform ticks — the flight recorder's
 	// checkpoint coordinate.
 	ticks uint64
@@ -368,14 +355,14 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 	if len(uavs) == 0 {
 		return nil, errors.New("platform: world has no UAVs")
 	}
-	if cfg.SurveyAltitudeM <= 0 || cfg.DescendAltitudeM <= 0 {
-		return nil, errors.New("platform: altitudes must be positive")
+	if cfg.SurveyAltitudeM <= 0 {
+		return nil, errors.New("platform: survey altitude must be positive")
 	}
 	if cfg.Origin == "" {
 		cfg.Origin = "127.0.0.1"
 	}
-	if cfg.Scenario != nil {
-		if v := cfg.Scenario.Visibility; v != nil {
+	if cfg.scenario != nil {
+		if v := cfg.scenario.Visibility; v != nil {
 			cfg.Visibility = v.Value
 			cfg.UseThermalBelow = v.ThermalBelow
 		}
@@ -549,17 +536,12 @@ func (st *uavState) telemetryAge(now float64) float64 {
 
 // tickLinkWatchdog is the lost-link contingency (the MRS-style C2
 // timeout): when an in-mission UAV's telemetry has been silent longer
-// than the configured window, the platform assumes the link is gone,
-// demotes the UAV's availability, redistributes its task and commands
-// the vehicle's failsafe (RTB by default, land-in-place when
-// configured). The staleness demotion of ConSert comms evidence
+// than lostLinkWindowS, the platform assumes the link is gone, demotes
+// the UAV's availability, redistributes its task and returns the
+// vehicle to base. The staleness demotion of ConSert comms evidence
 // happens separately in fuse.
 func (p *Platform) tickLinkWatchdog(st *uavState, now float64) {
-	window := p.cfg.LostLinkWindowS
-	if window <= 0 {
-		return
-	}
-	if st.telemetryAge(now) <= window {
+	if st.telemetryAge(now) <= lostLinkWindowS {
 		st.lostLink = false
 		return
 	}
@@ -571,14 +553,10 @@ func (p *Platform) tickLinkWatchdog(st *uavState, now float64) {
 		return
 	}
 	st.lostLink = true
-	verb := "return to base"
-	if p.cfg.LostLinkLand {
-		verb = "land in place"
-	}
-	p.recordFault(now, u.ID(), "lost-link", verb)
+	p.recordFault(now, u.ID(), "lost-link", "return to base")
 	countIn(&p.drops.events, p.Coordinator.Emit(eddi.Event{
 		Kind: eddi.KindSafety, UAV: u.ID(), Time: now, Severity: 0.9,
-		Summary: fmt.Sprintf("lost link: telemetry silent %.0f s, contingency: %s", st.telemetryAge(now), verb),
+		Summary: fmt.Sprintf("lost link: telemetry silent %.0f s, contingency: return to base", st.telemetryAge(now)),
 	}))
 	st.inMission = false
 	st.swapPending = false
@@ -589,11 +567,7 @@ func (p *Platform) tickLinkWatchdog(st *uavState, now float64) {
 			p.redispatch()
 		}
 	}
-	if p.cfg.LostLinkLand {
-		u.Land()
-	} else {
-		u.ReturnToBase()
-	}
+	u.ReturnToBase()
 }
 
 // registerMonitors builds the UAV's runtime-monitor chain: the colloc
@@ -765,13 +739,9 @@ func (p *Platform) onSecurityEvent(ev security.Event) {
 	st.uav.GPS.Mode = uavsim.GPSModeDropout
 	st.inMission = false
 
-	target := p.cfg.SafeLandingPoint
-	if !target.Valid() || (target == geo.LatLng{}) {
-		if c, err := p.missionArea.Centroid(); err == nil {
-			target = c
-		} else {
-			target = st.uav.Home()
-		}
+	target := st.uav.Home()
+	if c, err := p.missionArea.Centroid(); err == nil {
+		target = c
 	}
 	var observers []*colloc.Observer
 	for _, id := range p.order {

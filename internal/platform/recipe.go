@@ -12,7 +12,6 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"sesame/internal/chaos"
 	"sesame/internal/detection"
@@ -93,9 +92,8 @@ type Launch struct {
 // LaunchScenario builds a scenario into a running mission: world,
 // scene, platform (with the scenario attached to cfg), link layer,
 // chaos layer and fault timeline, with the mission started over every
-// site. cfg supplies the platform calibration; its Scenario,
-// Visibility and UseThermalBelow fields are overwritten from the
-// scenario itself.
+// site. cfg supplies the platform calibration; its Visibility and
+// UseThermalBelow fields are overwritten from the scenario itself.
 func LaunchScenario(sc *scenario.Scenario, cfg Config) (*Launch, error) {
 	if sc == nil {
 		return nil, errors.New("platform: nil scenario")
@@ -126,7 +124,7 @@ func (r Recipe) Build(cfg Config) (*Launch, error) {
 			return nil, err
 		}
 		areas, horizon, plan = sc.Areas(), sc.HorizonS, sc.Chaos
-		cfg.Scenario = sc
+		cfg.scenario = sc
 	} else {
 		w = uavsim.NewWorld(classicHome, r.Seed)
 		for i := 1; i <= r.UAVs; i++ {
@@ -156,26 +154,23 @@ func (r Recipe) Build(cfg Config) (*Launch, error) {
 		return nil, err
 	}
 	// The link layer attaches before chaos so chaos publish failures
-	// are decided first.
+	// are decided first. Scenario links carry telemetry only; a classic
+	// LinkPlan puts the IDS alerts on the vehicle links too.
 	var links *linksim.Layer
 	switch {
 	case sc != nil && len(sc.Links) > 0:
-		links = linksim.New(w.Clock, "scenario")
-		links.AttachBus(w.Bus)
+		links, err = p.AttachLinks("scenario", false)
 	case sc == nil && r.Link != nil:
-		links = linksim.New(w.Clock, r.Link.Name)
-		links.AttachBus(w.Bus)
-		links.AttachBroker(p.Broker, func(topic string) string {
-			if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-				return uav
+		if links, err = p.AttachLinks(r.Link.Name, true); err == nil {
+			for i := 1; i <= r.UAVs; i++ {
+				links.Link(fmt.Sprintf("u%d", i)).SetProfile(r.Link.Profile)
 			}
-			return ""
-		})
-		for i := 1; i <= r.UAVs; i++ {
-			links.Link(fmt.Sprintf("u%d", i)).SetProfile(r.Link.Profile)
 		}
 	}
-	p.SetLinks(links)
+	if err != nil {
+		p.Close()
+		return nil, err
+	}
 	if chaosLayer != nil {
 		chaosLayer.AttachBus(w.Bus)
 		chaosLayer.AttachBroker(p.Broker)

@@ -68,7 +68,7 @@ func buildReplayScenario(t *testing.T, sc replayScenario, workers int) *Platform
 	p := buildPlatform(t, cfg, sc.seed, sc.persons)
 	var layer *linksim.Layer
 	if sc.link {
-		layer = attachLinkLayer(p)
+		layer = attachLinkLayer(t, p)
 		profile := linksim.Profile{DupProb: 0.1}
 		for _, id := range []string{"u1", "u2", "u3"} {
 			layer.Link(id).SetProfile(profile)

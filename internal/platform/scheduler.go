@@ -68,7 +68,7 @@ func (p *Platform) Tick() error {
 		return err
 	}
 	p.ticks++
-	if p.cfg.Recorder != nil {
+	if p.recorder != nil {
 		return p.recordTick()
 	}
 	return nil
@@ -311,12 +311,12 @@ func (p *Platform) reportTelemetry(st *uavState, now float64) {
 func formatCharge(pct float64) string { return strconv.FormatFloat(pct, 'f', 1, 64) }
 
 // deferOrDrop queues a transiently failed database write for retry, or
-// counts it as a drop when retrying is disabled or the failure is
-// permanent (validation, forbidden origin).
+// counts it as a drop when the failure is permanent (validation,
+// forbidden origin).
 func (p *Platform) deferOrDrop(st *uavState, now float64, err error, r dbRetry) {
-	if p.cfg.DBRetryAttempts > 1 && errors.Is(err, ErrUnavailable) {
+	if errors.Is(err, ErrUnavailable) {
 		r.Attempts = 1
-		r.NextAt = now + p.cfg.DBRetryBackoffS
+		r.NextAt = now + dbRetryBackoffS
 		st.dbRetries = append(st.dbRetries, r)
 		st.retries.scheduled.Add(1)
 		return
@@ -345,12 +345,12 @@ func (p *Platform) drainDBRetries(st *uavState, now float64) {
 			continue
 		}
 		r.Attempts++
-		if !errors.Is(err, ErrUnavailable) || r.Attempts >= p.cfg.DBRetryAttempts {
+		if !errors.Is(err, ErrUnavailable) || r.Attempts >= dbRetryAttempts {
 			st.retries.abandoned.Add(1)
 			st.drops.database.Add(1)
 			continue
 		}
-		r.NextAt = now + p.cfg.DBRetryBackoffS*float64(uint64(1)<<uint(r.Attempts-1))
+		r.NextAt = now + dbRetryBackoffS*float64(uint64(1)<<uint(r.Attempts-1))
 		kept = append(kept, r)
 	}
 	st.dbRetries = kept
@@ -364,9 +364,9 @@ func (p *Platform) apply(id string, ob observation, now float64) error {
 
 	// A contained monitor-chain failure fails the UAV safe: emit the
 	// incident once, hold position, skip the (unavailable) chain
-	// findings — and feed the circuit breaker. After BreakerFailures
+	// findings — and feed the circuit breaker. After breakerFailures
 	// consecutive failures the chain is quarantined: skipped entirely
-	// until a re-probe after BreakerCooldownS, instead of re-failing
+	// until a re-probe after breakerCooldownS, instead of re-failing
 	// every tick.
 	if ob.failed {
 		st.breakerFails++
@@ -386,17 +386,17 @@ func (p *Platform) apply(id string, ob observation, now float64) error {
 		if st.quarantined {
 			// Failed re-probe: re-arm the cooldown without a new event —
 			// one quarantine incident per continuous quarantine period.
-			st.probeAt = now + p.cfg.BreakerCooldownS
-		} else if k := p.cfg.BreakerFailures; k > 0 && st.breakerFails >= k {
+			st.probeAt = now + breakerCooldownS
+		} else if st.breakerFails >= breakerFailures {
 			st.quarantined = true
-			st.probeAt = now + p.cfg.BreakerCooldownS
+			st.probeAt = now + breakerCooldownS
 			if p.obs != nil {
 				p.obs.quarantines().Inc()
 			}
 			ev := eddi.Event{
 				Kind: eddi.KindSafety, UAV: id, Time: now, Severity: 1,
 				Summary: fmt.Sprintf("monitor chain quarantined after %d consecutive failures; re-probe in %.0fs",
-					st.breakerFails, p.cfg.BreakerCooldownS),
+					st.breakerFails, breakerCooldownS),
 			}
 			countIn(&p.drops.events, p.Coordinator.Emit(ev))
 			p.recordEvent(ev)
@@ -505,7 +505,7 @@ func (p *Platform) apply(id string, ob observation, now float64) error {
 // descend executes SINADRA's altitude adaptation and resets the
 // perception window for the new operating point.
 func (p *Platform) descend(st *uavState) {
-	countIn(&p.drops.commands, st.uav.SetAltitude(p.cfg.DescendAltitudeM))
+	countIn(&p.drops.commands, st.uav.SetAltitude(descendAltitudeM))
 	st.descended = true
 	st.perception.Reset()
 	st.hasUncert = false
@@ -565,7 +565,7 @@ func (p *Platform) fuse(st *uavState, u *uavsim.UAV, id string) (conserts.UAVAct
 	// GCS-observed staleness demotes the comms guarantee: evidence must
 	// reflect what the ground station can actually see, not vehicle
 	// ground truth, once a lossy link sits between them.
-	if w := p.cfg.LostLinkWindowS; w > 0 && (st.lostLink || st.telemetryAge(p.World.Clock.Now()) > w) {
+	if st.lostLink || st.telemetryAge(p.World.Clock.Now()) > lostLinkWindowS {
 		commsOK = false
 	}
 	ev[s.commsOK] = commsOK

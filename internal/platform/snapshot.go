@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"sesame/internal/conserts"
 	"sesame/internal/eddi"
@@ -43,8 +44,10 @@ import (
 // detection scene, sharded and unsharded runs draw detector captures
 // from different stream layouts, so their recordings must not replay
 // each other. Function-typed fields (CoveragePlanner, ExtraMonitors)
-// and pure instrumentation (Observability, Recorder) cannot or need
-// not be digested; the caller owns keeping those consistent.
+// and pure instrumentation (Observability) cannot or need not be
+// digested; the caller owns keeping those consistent. The contingency
+// constants fill the fields they once were, so the JSON blob — and
+// every digest recorded before they became constants — is unchanged.
 func (p *Platform) ConfigDigest() string {
 	c := p.cfg
 	blob := struct {
@@ -66,18 +69,16 @@ func (p *Platform) ConfigDigest() string {
 	}{
 		SESAME:           c.SESAME,
 		SurveyAltitudeM:  c.SurveyAltitudeM,
-		DescendAltitudeM: c.DescendAltitudeM,
+		DescendAltitudeM: descendAltitudeM,
 		SweepSpacingM:    c.SweepSpacingM,
 		Visibility:       c.Visibility,
 		UseThermalBelow:  c.UseThermalBelow,
-		SafeLandingPoint: c.SafeLandingPoint,
 		Origin:           c.Origin,
-		LostLinkWindowS:  c.LostLinkWindowS,
-		LostLinkLand:     c.LostLinkLand,
-		DBRetryAttempts:  c.DBRetryAttempts,
-		DBRetryBackoffS:  c.DBRetryBackoffS,
-		BreakerFailures:  c.BreakerFailures,
-		BreakerCooldownS: c.BreakerCooldownS,
+		LostLinkWindowS:  lostLinkWindowS,
+		DBRetryAttempts:  dbRetryAttempts,
+		DBRetryBackoffS:  dbRetryBackoffS,
+		BreakerFailures:  breakerFailures,
+		BreakerCooldownS: breakerCooldownS,
 		Cells:            c.Cells,
 	}
 	data, err := json.Marshal(blob)
@@ -87,23 +88,45 @@ func (p *Platform) ConfigDigest() string {
 	}
 	// The scenario digest joins the hash only when a scenario is
 	// attached, so every pre-scenario recording keeps its digest.
-	if c.Scenario != nil {
-		data = append(data, "scenario="+c.Scenario.Digest()...)
+	if c.scenario != nil {
+		data = append(data, "scenario="+c.scenario.Digest()...)
 	}
 	return fmt.Sprintf("sha256:%x", sha256.Sum256(data))
 }
 
 // SetRecorder attaches (or, with nil, detaches) the black-box flight
-// recorder after construction. Construction-time attachment via
-// Config.Recorder needs the config digest before the platform exists;
-// this ordering — build the platform, derive ConfigDigest, open the
-// recorder, attach it — is the one external callers use.
-func (p *Platform) SetRecorder(rec *flightrec.Recorder) { p.cfg.Recorder = rec }
+// recorder. The recorder embeds the config digest, so the order is:
+// build the platform, derive ConfigDigest, open the recorder, attach
+// it.
+func (p *Platform) SetRecorder(rec *flightrec.Recorder) { p.recorder = rec }
 
-// SetLinks hands the platform the link-quality layer its telemetry
-// crosses, so checkpoints carry the layer's frames in flight and its
-// counters. Recipe.Build does this for the layer it builds.
-func (p *Platform) SetLinks(l *linksim.Layer) { p.links = l }
+// AttachLinks puts the fleet behind a link-quality layer and returns
+// it for the caller to configure (profiles, outages). The layer runs on
+// the world clock with its RNG streams keyed by name, filters every
+// bus publication through the publisher's link, mirrors its frame
+// counters into Config.Observability, and rides in every checkpoint
+// with its frames in flight. With alerts set, each vehicle's IDS
+// alerts (alerts/ids/<uav>) cross that vehicle's link too. A platform
+// takes one layer: a second would release its queue separately from
+// the first instead of merged by due time.
+func (p *Platform) AttachLinks(name string, alerts bool) (*linksim.Layer, error) {
+	if p.links != nil {
+		return nil, errors.New("platform: link layer already attached")
+	}
+	l := linksim.New(p.World.Clock, name)
+	l.Instrument(p.cfg.Observability)
+	l.AttachBus(p.World.Bus)
+	if alerts {
+		l.AttachBroker(p.Broker, func(topic string) string {
+			if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
+				return uav
+			}
+			return ""
+		})
+	}
+	p.links = l
+	return l, nil
+}
 
 // monitorBlob is one runtime monitor's checkpointed state, keyed by
 // the monitor's chain name so restore matches it back up.
@@ -247,7 +270,7 @@ func (p *Platform) Checkpoint() (*PlatformSnapshot, error) {
 // RestoreCheckpoint overlays a checkpoint onto this platform. The
 // caller must have rebuilt the scenario the way the recorded run began
 // — same world/fleet builder and seed, same Config, the same link
-// layer handed over (SetLinks), StartMission over the same area, and
+// layer attached (AttachLinks), StartMission over the same area, and
 // the same fault schedule registered (faults the checkpoint already
 // consumed are dropped here). Frames the rebuild's climb-out left in
 // flight are replaced by the checkpoint's.
@@ -566,7 +589,7 @@ func (p *Platform) recSkip(n uint64) {
 // of failing the tick; only checkpoint-serialization errors — platform
 // state bugs, not storage faults — still surface to the caller.
 func (p *Platform) recordTick() error {
-	rec := p.cfg.Recorder
+	rec := p.recorder
 	now := p.World.Clock.Now()
 	if p.recDegraded {
 		p.recSkip(2) // tick + bus summaries
@@ -640,7 +663,7 @@ func (p *Platform) appendEventRecord(b []byte, ev eddi.Event) []byte {
 // phase). A write error degrades the recorder rather than poisoning
 // the next RecordTick through the writer's sticky error.
 func (p *Platform) recordEvent(ev eddi.Event) {
-	rec := p.cfg.Recorder
+	rec := p.recorder
 	if rec == nil {
 		return
 	}
@@ -656,7 +679,7 @@ func (p *Platform) recordEvent(ev eddi.Event) {
 
 // recordFault marks a fault/attack/contingency in the recording.
 func (p *Platform) recordFault(now float64, uav, kind, detail string) {
-	rec := p.cfg.Recorder
+	rec := p.recorder
 	if rec == nil {
 		return
 	}
@@ -673,7 +696,7 @@ func (p *Platform) recordFault(now float64, uav, kind, detail string) {
 
 // recordAdvice marks a fused flight-action change in the recording.
 func (p *Platform) recordAdvice(now float64, uav, action string) {
-	rec := p.cfg.Recorder
+	rec := p.recorder
 	if rec == nil {
 		return
 	}

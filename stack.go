@@ -348,7 +348,8 @@ var ErrDatabaseUnavailable = platform.ErrUnavailable
 
 // LinkLayer injects deterministic, seeded link faults (loss, delay,
 // duplication, reordering, outage windows) between the UAVs and the
-// ground station.
+// ground station. Platform.AttachLinks builds one over a platform's
+// world, so checkpoints carry its frames in flight.
 type LinkLayer = linksim.Layer
 
 // Link is one UAV's impaired channel within a LinkLayer.
@@ -363,17 +364,6 @@ type LinkStats = linksim.LinkStats
 // ErrLinkDown is returned to publishers while a rejecting outage is
 // active on their link.
 var ErrLinkDown = linksim.ErrLinkDown
-
-// NewLinkLayer creates a fault layer driven by the world's clock and
-// attaches it to the world's ROS bus, so each UAV's telemetry crosses
-// its configured link. Use AttachBroker to also impair the alert path.
-// Hand it to the platform with Platform.SetLinks so checkpoints carry
-// its frames in flight.
-func NewLinkLayer(w *World, name string) *LinkLayer {
-	l := linksim.New(w.Clock, name)
-	l.AttachBus(w.Bus)
-	return l
-}
 
 // ---- Black-box flight recorder (internal/flightrec) ----
 
